@@ -1,11 +1,11 @@
 // Package metrics implements the metrics server of LIFL's control plane
-// (Fig. 3): time-series storage fed by the per-node agents (which drain the
-// eBPF metrics maps, §4.3), sliding-window arrival-rate meters used by the
-// load balancer's k_{i,t}, and execution-time averages used for E_{i,t}.
+// (Fig. 3): named sliding-window arrival-rate meters, the k_{i,t} input of
+// the load balancer's residual-capacity formula (§5.1) and the source of
+// the load/arrival_rate_per_min gauge.
 //
-// Series are append-only during a run; Server.TrimAll bounds them to a
-// constant tail when rounds retire, so diagnostic storage never grows
-// with run length (docs/MEMORY.md).
+// A meter holds only the events inside its window, so the server's
+// storage is bounded by the arrival rate, never by run length
+// (docs/MEMORY.md).
 //
 // Layer (DESIGN.md): component support under internal/core — arrival
 // meters feeding the placement/planner inputs.

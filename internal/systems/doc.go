@@ -17,7 +17,10 @@
 // and gateway routes (LIFL/SL-H), broker topics and sidecar bindings (SL),
 // round-stamped eBPF metric samples, superseded checkpoints, and the
 // retained round state itself. SF's static hierarchy names nothing per
-// round, so its RetireRound is a no-op. Retirement is bookkeeping, never
+// round, so its RetireRound is a no-op. LIFL/SL-H and SL lay each round's
+// aggregators out once, when the round is planned, in a shared slot table
+// (slots.go); everything after — binding, dispatch, failover, retirement —
+// indexes it. Retirement is bookkeeping, never
 // schedule: Reports are byte-identical for any retention window (see
 // docs/MEMORY.md for the full lifecycle).
 //

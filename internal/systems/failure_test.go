@@ -30,7 +30,7 @@ func TestLeafFailureMidRoundRecovers(t *testing.T) {
 	// Kill one leaf after a few updates have been dispatched and partially
 	// aggregated.
 	eng.At(4*sim.Second, func() {
-		name := s.leafName(1, 0, 0)
+		name := "r1-n0-leaf0"
 		replayed, err := s.FailAggregator(name)
 		if err != nil {
 			t.Errorf("fail injection: %v", err)
@@ -68,7 +68,7 @@ func TestMiddleFailureMidRoundRecovers(t *testing.T) {
 	s.RunRound(1, jobs, func(r RoundResult) { res = &r })
 	// Kill the middle on node 0 once some leaf outputs have reached it.
 	eng.At(8*sim.Second, func() {
-		if _, err := s.FailAggregator(s.middleName(1, 0)); err != nil {
+		if _, err := s.FailAggregator("r1-n0-middle"); err != nil {
 			t.Errorf("fail injection: %v", err)
 		}
 	})
@@ -109,7 +109,7 @@ func TestFailureDoesNotLeakShm(t *testing.T) {
 	}
 	s.RunRound(1, jobs, func(RoundResult) {})
 	eng.At(5*sim.Second, func() {
-		if _, err := s.FailAggregator(s.leafName(1, 0, 1)); err != nil {
+		if _, err := s.FailAggregator("r1-n0-leaf1"); err != nil {
 			t.Errorf("fail injection: %v", err)
 		}
 	})

@@ -54,25 +54,28 @@ type LIFL struct {
 	// checkpoints, written asynchronously every CheckpointPeriodRounds.
 	Ckpt *checkpoint.Store
 
+	// arrivals counts committed client updates cluster-wide (the
+	// load/arrival_rate_per_min gauge). nodeArrivals are the per-node
+	// meters placement reads as k_{i,t} (§5.1); nothing marks them yet, so
+	// every node's arrival rate reads 0.
+	arrivals     *metrics.Meter
+	nodeArrivals []*metrics.Meter
+
 	rs *liflRound
-	// hist retains closed rounds' state until RetireRound evicts them —
-	// the control-plane record window that keeps mid-round failover
-	// replay and checkpoint-restore working while bounding live heap.
-	hist map[int]*liflRound
+	// hist retains rounds in round order until RetireRound pops them off
+	// its front — the control-plane record window that keeps mid-round
+	// failover replay and checkpoint-restore working while bounding live
+	// heap.
+	hist []*liflRound
 
 	// TotalConversions counts §5.3 role conversions across rounds.
 	TotalConversions uint64
 }
 
-// liflAgg couples an aggregator with its host.
-type liflAgg struct {
-	agg  *aggcore.Aggregator
-	node int
-	sb   *runtime.Sandbox
-}
-
 // liflRound is the in-flight round state.
 type liflRound struct {
+	slotTable // the round's aggregators, laid out by plan
+
 	round    int
 	jobs     []ClientJob
 	done     func(RoundResult)
@@ -82,24 +85,18 @@ type liflRound struct {
 	injected bool // all jobs skip broadcast (ACT measured from round start)
 
 	assignNode []int // job index → node index
-	plans      map[int]autoscaler.Plan
-	topGoal    int
-	topNode    int // resolved top host (may change via reuse binding)
+	topNode    int   // resolved top host (may change via reuse binding)
 	topBound   bool
-	aggDone    sim.Duration // global model installed (ACT endpoint, pre-eval)
-
-	bind    map[string]*liflAgg         // logical name → instance
-	pending map[string][]aggcore.Update // queued for unbound/unready names
-	tag     *topology.TAG               // Appendix-D description of this round
-	leafFor map[int][]string            // node → leaf names (dispatch ring)
-	leafRR  map[int]int                 // node → round-robin cursor
-	started map[string]bool             // logical names with provisioning begun
+	aggDone    sim.Duration  // global model installed (ACT endpoint, pre-eval)
+	tag        *topology.TAG // Appendix-D description of this round
 
 	cpu0     sim.Duration
 	created0 uint64
 	updates  int
 	finished bool
 }
+
+func (rs *liflRound) closedBy(last int) bool { return rs.finished && rs.round <= last }
 
 // NewLIFL assembles the system on a fresh cluster.
 func NewLIFL(eng *sim.Engine, cfg Config) *LIFL {
@@ -115,11 +112,12 @@ func NewLIFL(eng *sim.Engine, cfg Config) *LIFL {
 		global:  newGlobal(cfg.Model),
 		algo:    fedavg.FedAvg{Workers: cfg.Workers},
 		Ckpt:    checkpoint.NewStore(eng, 1e9), // 1 GB/s uplink to storage
-		hist:    make(map[int]*liflRound),
 	}
+	s.arrivals = s.Metrics.Meter("arrivals", sim.Minute)
 	for _, n := range cl.Nodes {
 		s.GWs = append(s.GWs, gateway.New(n))
 		s.Mgrs = append(s.Mgrs, runtime.NewManager(n))
+		s.nodeArrivals = append(s.nodeArrivals, s.Metrics.Meter("arrivals@"+n.Name, sim.Minute))
 	}
 	gateway.Connect(s.GWs...)
 	return s
@@ -208,12 +206,6 @@ func (s *LIFL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 		done:     done,
 		start:    s.Eng.Now(),
 		topNode:  s.cfg.TopNode,
-		bind:     make(map[string]*liflAgg),
-		pending:  make(map[string][]aggcore.Update),
-		leafFor:  make(map[int][]string),
-		leafRR:   make(map[int]int),
-		started:  make(map[string]bool),
-		plans:    make(map[int]autoscaler.Plan),
 		cpu0:     s.CPUTime(),
 		created0: s.createdTotal(),
 		injected: true,
@@ -225,7 +217,7 @@ func (s *LIFL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 		}
 	}
 	s.rs = rs
-	s.hist[round] = rs
+	s.hist = append(s.hist, rs)
 
 	// Reap expired warm instances at round boundaries (the agent's cycle).
 	for _, m := range s.Mgrs {
@@ -244,11 +236,11 @@ func (s *LIFL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 // otherwise the least-connection-equivalent WorstFit of SL-H.
 func (s *LIFL) place(rs *liflRound) {
 	states := make([]*placement.NodeState, 0, len(s.Cluster.Nodes))
-	for _, n := range s.Cluster.Nodes {
+	for i, n := range s.Cluster.Nodes {
 		states = append(states, &placement.NodeState{
 			Name:     n.Name,
 			MC:       s.cfg.MC,
-			Arrival:  s.Metrics.Meter("arrivals@"+n.Name, sim.Minute).Rate(),
+			Arrival:  s.nodeArrivals[i].Rate(),
 			ExecTime: s.cfg.Params.AggregateOne(s.cfg.Model.Bytes()),
 		})
 	}
@@ -280,35 +272,26 @@ func expandAssignment(a placement.Assignment, jobs int) []int {
 	return out
 }
 
-// plan sizes the per-node hierarchy (§5.2) and the top goal.
+// plan sizes the per-node hierarchy (§5.2) and lays the round's
+// aggregators out in its slot table.
 func (s *LIFL) plan(rs *liflRound) {
-	counts := make(map[int]int)
+	counts := make([]int, len(s.Cluster.Nodes))
 	for _, n := range rs.assignNode {
 		counts[n]++
 	}
-	fanIn := s.cfg.Params.LeafFanIn
-	rs.topGoal = 0
+	plans := make([]autoscaler.Plan, len(counts))
 	for node, c := range counts {
+		if c == 0 {
+			continue
+		}
 		name := s.Cluster.Nodes[node].Name
-		var p autoscaler.Plan
 		if s.ForcePlan != nil {
-			p = s.ForcePlan(name, c)
+			plans[node] = s.ForcePlan(name, c)
 		} else {
-			p = autoscaler.PlanNode(name, c, fanIn)
-		}
-		rs.plans[node] = p
-		if p.Middle {
-			rs.topGoal++
-		} else {
-			rs.topGoal += p.Leaves
-		}
-		for i := 0; i < p.Leaves; i++ {
-			rs.leafFor[node] = append(rs.leafFor[node], s.leafName(rs.round, node, i))
+			plans[node] = autoscaler.PlanNode(name, c, s.cfg.Params.LeafFanIn)
 		}
 	}
-	if rs.topGoal == 0 {
-		rs.topGoal = 1
-	}
+	rs.slotTable = newSlotTable("r", rs.round, plans, rs.topNode)
 	rs.tag = s.buildTAG(rs)
 	if err := rs.tag.Validate(); err != nil {
 		panic(fmt.Sprintf("lifl: planner produced an invalid hierarchy: %v", err))
@@ -322,27 +305,17 @@ func (s *LIFL) plan(rs *liflRound) {
 // it also serves as a structural check on the planner.
 func (s *LIFL) buildTAG(rs *liflRound) *topology.TAG {
 	g := topology.New()
-	top := s.topName(rs.round)
-	topGroup := s.Cluster.Nodes[rs.topNode].Name
 	must := func(err error) {
 		if err != nil {
 			panic(fmt.Sprintf("lifl: TAG: %v", err))
 		}
 	}
-	must(g.AddVertex(topology.Vertex{Name: top, Role: topology.RoleAggregator, Level: "top", GroupBy: topGroup}))
-	for node, p := range rs.plans {
-		group := s.Cluster.Nodes[node].Name
-		if p.Middle {
-			must(g.AddVertex(topology.Vertex{
-				Name: s.middleName(rs.round, node), Role: topology.RoleAggregator,
-				Level: "middle", GroupBy: group,
-			}))
-			must(g.AddChannel(topology.Channel{From: s.middleName(rs.round, node), To: top, GroupBy: group}))
-		}
-		for _, leaf := range rs.leafFor[node] {
-			must(g.AddVertex(topology.Vertex{Name: leaf, Role: topology.RoleAggregator, Level: "leaf", GroupBy: group}))
-			must(g.AddChannel(topology.Channel{From: leaf, To: s.consumerOf(rs, node), GroupBy: group}))
-		}
+	for _, sl := range rs.slots {
+		must(g.AddVertex(topology.Vertex{Name: sl.name, Role: topology.RoleAggregator,
+			Level: sl.role.String(), GroupBy: s.Cluster.Nodes[sl.node].Name}))
+	}
+	for _, sl := range rs.slots[:rs.top()] {
+		must(g.AddChannel(topology.Channel{From: sl.name, To: rs.slots[sl.dst].name, GroupBy: s.Cluster.Nodes[sl.node].Name}))
 	}
 	return g
 }
@@ -365,128 +338,79 @@ func (s *LIFL) FailAggregator(name string) (int, error) {
 	if rs == nil || rs.finished {
 		return 0, fmt.Errorf("lifl: no round in flight")
 	}
-	la, ok := rs.bind[name]
-	if !ok {
+	i := rs.lookup(name)
+	if i < 0 || rs.slots[i].inst == nil {
 		return 0, fmt.Errorf("lifl: %q not bound", name)
 	}
+	sl := &rs.slots[i]
 	// Crash the instance: drop its routes and sandbox.
+	la := sl.inst
 	replay := la.agg.FailoverUpdates()
-	node := la.node
+	s.unregister(name, la.node)
+	s.Mgrs[la.node].Terminate(la.sb)
+	sl.inst, sl.started = nil, false
+
+	// Stateless restart: re-provision under the same logical name and
+	// requeue the in-place updates (they become pending and drain when the
+	// replacement binds).
+	sl.pending = append(sl.pending, replay...)
+	s.provision(rs, i, la.node)
+	return len(replay), nil
+}
+
+// unregister drops a bound name's sockmap entry on its node and its routes
+// on every other gateway.
+func (s *LIFL) unregister(name string, node int) {
 	s.Cluster.Nodes[node].SockMap.Remove(name)
 	for i, gw := range s.GWs {
 		if i != node {
 			gw.DropRoute(name)
 		}
 	}
-	s.Mgrs[node].Terminate(la.sb)
-	delete(rs.bind, name)
-	rs.started[name] = false
-
-	// Stateless restart: re-provision under the same logical name and
-	// requeue the in-place updates (they become pending and drain when the
-	// replacement binds).
-	role, goal, dst := s.roleFor(rs, node, name)
-	rs.pending[name] = append(rs.pending[name], replay...)
-	s.provision(rs, name, node, role, goal, dst)
-	return len(replay), nil
 }
 
-// metricsKeep bounds the diagnostic metrics series once rounds start
-// retiring: enough history for any rate/window consumer, constant over
-// arbitrarily many rounds.
-const metricsKeep = 4096
-
 // RetireRound implements Service: evict every control-plane record for
-// rounds <= last. For each retired round the logical aggregator names are
-// re-derived deterministically from the retained plan (sorted node walk),
-// their sockmap entries and gateway routes dropped on every node, leftover
-// pending shm references released, and the round state — bind map, TAG,
-// plans, aggregator closures — unreferenced. The eBPF metrics maps drop
-// the rounds' samples, the checkpoint store retires superseded snapshots,
-// and the metrics server's series are bounded. Pure bookkeeping: no
+// rounds <= last. Finished rounds leave the front of the history in round
+// order; each one's slot table is walked once — every bound name loses its
+// sockmap entry and gateway routes, leftover pending shm references are
+// released — and the round state (slots, TAG, aggregator closures) is
+// unreferenced. The eBPF metrics maps drop the rounds' samples and the
+// checkpoint store retires superseded snapshots. Pure bookkeeping: no
 // sandbox terminations, no CPU charges, no events.
 func (s *LIFL) RetireRound(last int) {
-	var rounds []int
-	for r, rs := range s.hist {
-		if r <= last && rs.finished {
-			rounds = append(rounds, r)
-		}
-	}
-	if len(rounds) == 0 {
+	var rounds int
+	s.hist, rounds = retireFront(s.hist, last, s.evictRound)
+	if rounds == 0 {
 		return
-	}
-	sort.Ints(rounds)
-	for _, r := range rounds {
-		s.evictRound(s.hist[r])
-		delete(s.hist, r)
 	}
 	samples := 0
 	for _, n := range s.Cluster.Nodes {
 		samples += n.SKMSG.RetireRound(last)
 	}
 	s.Ckpt.Retire(last)
-	s.Metrics.TrimAll(metricsKeep)
 	// Eviction telemetry is Volatile by construction: how much is retired
 	// (and when) is a function of the caller's retention window, which the
 	// deterministic snapshot must not depend on.
-	s.cfg.Obs.Counter("ctrl/rounds_evicted", obs.Volatile).Add(uint64(len(rounds)))
+	s.cfg.Obs.Counter("ctrl/rounds_evicted", obs.Volatile).Add(uint64(rounds))
 	s.cfg.Obs.Counter("ctrl/ebpf_samples_evicted", obs.Volatile).Add(uint64(samples))
 }
 
 // evictRound retires one closed round's registrations and references.
 func (s *LIFL) evictRound(rs *liflRound) {
-	names := s.roundNames(rs)
 	refs := 0
-	for _, name := range names {
-		for _, n := range s.Cluster.Nodes {
-			n.SockMap.Remove(name)
+	for i := range rs.slots {
+		sl := &rs.slots[i]
+		if sl.inst != nil {
+			s.unregister(sl.name, sl.inst.node)
 		}
-		for _, gw := range s.GWs {
-			gw.DropRoute(name)
-		}
-		for _, u := range rs.pending[name] {
+		for _, u := range sl.pending {
 			u.Release()
 		}
-		refs += len(rs.pending[name])
-		delete(rs.pending, name)
+		refs += len(sl.pending)
+		sl.pending = nil
 	}
-	s.cfg.Obs.Counter("ctrl/registrations_retired", obs.Volatile).Add(uint64(len(names)))
+	s.cfg.Obs.Counter("ctrl/registrations_retired", obs.Volatile).Add(uint64(len(rs.slots)))
 	s.cfg.Obs.Counter("ctrl/shm_refs_released", obs.Volatile).Add(uint64(refs))
-}
-
-// roundNames lists a round's logical aggregator names in deterministic
-// order: each planned node's leaves then its middle (sorted by node
-// index), and the top last.
-func (s *LIFL) roundNames(rs *liflRound) []string {
-	nodes := make([]int, 0, len(rs.plans))
-	for nd := range rs.plans {
-		nodes = append(nodes, nd)
-	}
-	sort.Ints(nodes)
-	names := make([]string, 0, 2*len(nodes)+1)
-	for _, nd := range nodes {
-		names = append(names, rs.leafFor[nd]...)
-		if rs.plans[nd].Middle {
-			names = append(names, s.middleName(rs.round, nd))
-		}
-	}
-	return append(names, s.topName(rs.round))
-}
-
-func (s *LIFL) leafName(round, node, i int) string {
-	return fmt.Sprintf("r%d-n%d-leaf%d", round, node, i)
-}
-func (s *LIFL) middleName(round, node int) string {
-	return fmt.Sprintf("r%d-n%d-middle", round, node)
-}
-func (s *LIFL) topName(round int) string { return fmt.Sprintf("r%d-top", round) }
-
-// consumerOf returns the logical destination for a leaf on node.
-func (s *LIFL) consumerOf(rs *liflRound, node int) string {
-	if rs.plans[node].Middle {
-		return s.middleName(rs.round, node)
-	}
-	return s.topName(rs.round)
 }
 
 // prestart provisions the planned hierarchy at round start (flag ②), so
@@ -494,37 +418,36 @@ func (s *LIFL) consumerOf(rs *liflRound, node int) string {
 // are only pre-started when reuse (③) is off; with reuse they are bound by
 // role conversion of completed instances.
 func (s *LIFL) prestart(rs *liflRound) {
-	for node, p := range rs.plans {
-		for i := 0; i < p.Leaves; i++ {
-			s.provision(rs, rs.leafFor[node][i], node, aggcore.RoleLeaf, p.LeafGoals[i], s.consumerOf(rs, node))
-		}
-		if p.Middle && !s.cfg.Flags.Reuse {
-			s.provision(rs, s.middleName(rs.round, node), node, aggcore.RoleMiddle, p.Leaves, s.topName(rs.round))
+	top := rs.top()
+	for i := range rs.slots[:top] {
+		if rs.slots[i].role == aggcore.RoleLeaf || !s.cfg.Flags.Reuse {
+			s.provision(rs, i, rs.slots[i].node)
 		}
 	}
 	if !s.cfg.Flags.Reuse {
-		s.provision(rs, s.topName(rs.round), rs.topNode, aggcore.RoleTop, rs.topGoal, "")
+		s.provision(rs, top, rs.topNode)
 		rs.topBound = true
 	}
 }
 
-// provision starts (cold or warm) a sandbox for the logical name and binds
-// an aggregator to it when ready. Idempotent per name.
-func (s *LIFL) provision(rs *liflRound, name string, node int, role aggcore.Role, goal int, dst string) {
-	if rs.started[name] {
+// provision starts (cold or warm) a sandbox on node for slot i and binds an
+// aggregator to it when ready. Idempotent per slot.
+func (s *LIFL) provision(rs *liflRound, i, node int) {
+	sl := &rs.slots[i]
+	if sl.started {
 		return
 	}
-	rs.started[name] = true
+	sl.started = true
 	n := s.Cluster.Nodes[node]
 	mgr := s.Mgrs[node]
-	la := &liflAgg{node: node}
-	agg := aggcore.New(name, role, n, s.algo, s.cfg.Model.PhysLen(), s.cfg.Model.Params)
+	la := &aggInst{node: node}
+	agg := aggcore.New(sl.name, sl.role, n, s.algo, s.cfg.Model.PhysLen(), s.cfg.Model.Params)
 	agg.Mode = s.mode()
 	agg.Tracer = s.cfg.Tracer
-	agg.TraceName = traceNameFor(name, role)
-	agg.Assign(role, goal, dst, rs.round)
+	agg.TraceName = traceNameFor(sl.name, sl.role)
+	agg.Assign(sl.role, sl.goal, rs.dstName(i), rs.round)
 	agg.Transport = (*liflTransport)(s)
-	if role == aggcore.RoleTop {
+	if sl.role == aggcore.RoleTop {
 		agg.OnComplete = s.onGlobal
 		rs.topNode = node
 	}
@@ -534,11 +457,11 @@ func (s *LIFL) provision(rs *liflRound, name string, node int, role aggcore.Role
 	// deployment (warm pods cannot cross levels).
 	kind := "agg"
 	if !s.cfg.Flags.Reuse {
-		kind = role.String()
+		kind = sl.role.String()
 	}
 	sb := mgr.Start(kind, func(sb *runtime.Sandbox) {
 		// Sandbox ready: bind, register routes, drain anything queued.
-		s.bindAgg(rs, name, la)
+		s.bindAgg(rs, i, la)
 		agg.NotifyReady()
 	})
 	la.sb = sb
@@ -556,34 +479,35 @@ func traceNameFor(name string, role aggcore.Role) string {
 	}
 }
 
-// bindAgg publishes the instance under its logical name: sockmap entry on
-// its node, inter-node routes on every gateway, pending queue drain.
-func (s *LIFL) bindAgg(rs *liflRound, name string, la *liflAgg) {
-	rs.bind[name] = la
+// bindAgg publishes the instance under slot i's logical name: sockmap entry
+// on its node, inter-node routes on every gateway, pending queue drain.
+func (s *LIFL) bindAgg(rs *liflRound, i int, la *aggInst) {
+	sl := &rs.slots[i]
+	sl.inst = la
 	// Registration creation tracks the planned topology, not the retention
 	// window — deterministic for a fixed seed.
 	s.cfg.Obs.Counter("ctrl/registrations_created", obs.Det).Inc()
 	n := s.Cluster.Nodes[la.node]
-	n.SockMap.Register(name, func(msg ebpf.Message) {
-		s.deliverFromShm(rs, la, msg)
+	n.SockMap.Register(sl.name, func(msg ebpf.Message) {
+		s.deliverFromShm(la, msg)
 	})
-	for i, gw := range s.GWs {
-		if i != la.node {
-			gw.SetRoute(name, n.Name)
+	for g, gw := range s.GWs {
+		if g != la.node {
+			gw.SetRoute(sl.name, n.Name)
 		}
 	}
 	if la.agg.Role == aggcore.RoleTop {
 		rs.topBound = true
 		rs.topNode = la.node
 	}
-	for _, u := range rs.pending[name] {
+	for _, u := range sl.pending {
 		la.agg.Receive(u)
 	}
-	delete(rs.pending, name)
+	sl.pending = nil
 }
 
 // deliverFromShm materializes an shm key into an aggregator Update.
-func (s *LIFL) deliverFromShm(rs *liflRound, la *liflAgg, msg ebpf.Message) {
+func (s *LIFL) deliverFromShm(la *aggInst, msg ebpf.Message) {
 	store := s.Cluster.Nodes[la.node].Shm
 	obj, err := store.Get(msg.ShmKey)
 	if err != nil {
@@ -655,8 +579,7 @@ func (s *LIFL) ingest(rs *liflRound, node int, j ClientJob, upd *tensor.Tensor) 
 			rs.first = s.Eng.Now()
 		}
 		rs.updates++
-		s.Metrics.Meter("arrivals", sim.Minute).Mark()
-		s.Metrics.Record("arrival", 1)
+		s.arrivals.Mark()
 		s.dispatch(rs, node, key)
 	})
 }
@@ -667,37 +590,22 @@ func (s *LIFL) ingest(rs *liflRound, node int, j ClientJob, upd *tensor.Tensor) 
 // sandbox is provisioned on first demand — the cold start lands on the
 // critical path, which is exactly the penalty Fig. 8 charges SL-H and +①.
 func (s *LIFL) dispatch(rs *liflRound, node int, key shm.Key) {
-	leaves := rs.leafFor[node]
-	if len(leaves) == 0 {
+	i := rs.nextLeaf(node)
+	if i < 0 {
 		panic(fmt.Sprintf("lifl: no leaves planned on node %d", node))
 	}
-	name := leaves[rs.leafRR[node]%len(leaves)]
-	rs.leafRR[node]++
-	if !rs.started[name] {
-		p := rs.plans[node]
-		idx := indexOf(leaves, name)
-		s.provision(rs, name, node, aggcore.RoleLeaf, p.LeafGoals[idx], s.consumerOf(rs, node))
-	}
-	s.keyPass(rs, node, "gw", name, key)
+	s.provision(rs, i, node)
+	s.keyPass(rs, node, "gw", i, key)
 }
 
-func indexOf(ss []string, want string) int {
-	for i, s := range ss {
-		if s == want {
-			return i
-		}
-	}
-	return -1
-}
-
-// keyPass sends a 16-byte shm key over the node's SKMSG channel to the
-// logical destination, charging the event-driven sidecar cost. Unbound
+// keyPass sends a 16-byte shm key over the node's SKMSG channel to slot
+// dst's logical name, charging the event-driven sidecar cost. Unbound
 // destinations queue in pending (the update already sits in shm — this is
 // in-place queuing).
-func (s *LIFL) keyPass(rs *liflRound, node int, src, dst string, key shm.Key) {
+func (s *LIFL) keyPass(rs *liflRound, node int, src string, dst int, key shm.Key) {
 	n := s.Cluster.Nodes[node]
 	n.ExecFree("ebpf-sidecar", costmodel.Cycles(n.P.EBPFMetricsCycles))
-	msg := ebpf.Message{SrcID: src, DstID: dst, ShmKey: key, Size: 16, Round: rs.round, Kind: "update"}
+	msg := ebpf.Message{SrcID: src, DstID: rs.slots[dst].name, ShmKey: key, Size: 16, Round: rs.round, Kind: "update"}
 	verdict, sock, err := n.SKMSG.Run(msg, 0)
 	if err != nil || verdict != ebpf.VerdictRedirect {
 		// No socket yet (reactive/reuse not bound): park in shm-backed pending.
@@ -706,7 +614,8 @@ func (s *LIFL) keyPass(rs *liflRound, node int, src, dst string, key shm.Key) {
 		if gerr != nil {
 			panic(fmt.Sprintf("lifl: keyPass pending %s: %v", key, gerr))
 		}
-		rs.pending[dst] = append(rs.pending[dst], aggcore.Update{
+		sl := &rs.slots[dst]
+		sl.pending = append(sl.pending, aggcore.Update{
 			Tensor: obj.Tensor, Weight: obj.Weight, Size: obj.Size,
 			Round: obj.Round, Producer: src, Key: key, Store: store,
 		})
@@ -716,73 +625,52 @@ func (s *LIFL) keyPass(rs *liflRound, node int, src, dst string, key shm.Key) {
 	s.Eng.After(n.P.ShmKeyPassLatency, func() { sock.Deliver(msg) })
 }
 
-// demand reacts to traffic for an unbound logical name: under reactive
-// scaling it provisions the instance now; under reuse it converts a warm
-// idle instance when one exists (§5.3).
-func (s *LIFL) demand(rs *liflRound, node int, name string) {
-	if rs.started[name] {
+// demand reacts to traffic for an unbound slot: under reactive scaling it
+// provisions the instance now; under reuse it converts a warm idle instance
+// when one exists (§5.3).
+func (s *LIFL) demand(rs *liflRound, node, i int) {
+	if rs.slots[i].started {
 		return
 	}
-	role, goal, dst := s.roleFor(rs, node, name)
-	if s.cfg.Flags.Reuse {
-		if s.convert(rs, node, name, role, goal, dst) {
-			return
-		}
+	if s.cfg.Flags.Reuse && s.convert(rs, node, i) {
+		return
 	}
-	s.provision(rs, name, node, role, goal, dst)
+	s.provision(rs, i, node)
 }
 
-// roleFor resolves a logical name's role, goal and consumer.
-func (s *LIFL) roleFor(rs *liflRound, node int, name string) (aggcore.Role, int, string) {
-	if name == s.topName(rs.round) {
-		return aggcore.RoleTop, rs.topGoal, ""
-	}
-	for nd, p := range rs.plans {
-		if name == s.middleName(rs.round, nd) {
-			return aggcore.RoleMiddle, p.Leaves, s.topName(rs.round)
-		}
-		for i, ln := range rs.leafFor[nd] {
-			if ln == name {
-				return aggcore.RoleLeaf, p.LeafGoals[i], s.consumerOf(rs, nd)
-			}
-		}
-	}
-	panic(fmt.Sprintf("lifl: unknown logical name %q", name))
-}
-
-// convert binds name to a warm idle instance on the same node via role
+// convert binds slot i to a warm idle instance on the same node via role
 // conversion (§5.3). Returns false when no candidate is idle.
-func (s *LIFL) convert(rs *liflRound, node int, name string, role aggcore.Role, goal int, dst string) bool {
+func (s *LIFL) convert(rs *liflRound, node, i int) bool {
 	var cands []*aggcore.Aggregator
-	for bn, la := range rs.bind {
-		if la.node != node || bn == name {
-			continue
+	for j := range rs.slots {
+		if la := rs.slots[j].inst; la != nil && la.node == node && j != i {
+			cands = append(cands, la.agg)
 		}
-		cands = append(cands, la.agg)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
 	pick := s.reuse.PickIdle(cands)
 	if pick == nil {
 		return false
 	}
-	rs.started[name] = true
+	sl := &rs.slots[i]
+	sl.started = true
 	s.reuse.MarkConversion()
 	s.TotalConversions++
 	s.cfg.Obs.Counter("ctrl/conversions", obs.Det).Inc()
 	// Locate the instance wrapper.
-	var la *liflAgg
-	for _, cand := range rs.bind {
-		if cand.agg == pick {
-			la = cand
+	var la *aggInst
+	for j := range rs.slots {
+		if inst := rs.slots[j].inst; inst != nil && inst.agg == pick {
+			la = inst
 			break
 		}
 	}
-	pick.ConvertRole(role, goal, dst, rs.round, func() {
-		if role == aggcore.RoleTop {
+	pick.ConvertRole(sl.role, sl.goal, rs.dstName(i), rs.round, func() {
+		if sl.role == aggcore.RoleTop {
 			pick.OnComplete = s.onGlobal
 			pick.TraceName = "Top"
 		}
-		s.bindAgg(rs, name, la)
+		s.bindAgg(rs, i, la)
 		pick.NotifyReady()
 	})
 	return true
@@ -807,33 +695,31 @@ func (t *liflTransport) SendResult(src *aggcore.Aggregator, out aggcore.Update, 
 			panic(fmt.Sprintf("lifl transport: %v", err))
 		}
 		// Resolve destination placement.
-		la, bound := rs.bind[dstID]
-		if bound && la.node != srcNode {
+		dst := rs.lookup(dstID)
+		if dst < 0 {
+			panic("lifl transport: unknown destination " + dstID)
+		}
+		la := rs.slots[dst].inst
+		if la != nil && la.node != srcNode {
 			// Cross-node: relay through the gateways (Appendix A).
 			dstNodeIdx := la.node
 			gw := s.GWs[srcNode]
 			if err := gw.SendRemote(src.ID, key, dstID, func(remoteKey shm.Key) {
-				s.keyPass(rs, dstNodeIdx, src.ID, dstID, remoteKey)
+				s.keyPass(rs, dstNodeIdx, src.ID, dst, remoteKey)
 			}); err != nil {
 				panic(fmt.Sprintf("lifl transport: %v", err))
 			}
 			return
 		}
-		if !bound && s.topDstRemote(rs, dstID, srcNode) {
+		if la == nil && dst == rs.top() && rs.topBound && rs.topNode != srcNode {
 			// Destination is the (unbound) top on another node without
 			// reuse; should not happen since non-reuse tops pre-bind.
 			panic("lifl transport: unbound remote destination " + dstID)
 		}
 		// Same node (or unbound-yet local name): SKMSG key pass; demand
 		// resolution provisions or converts as needed.
-		s.keyPass(rs, srcNode, src.ID, dstID, key)
+		s.keyPass(rs, srcNode, src.ID, dst, key)
 	})
-}
-
-// topDstRemote reports whether dst is the top logical name and the top is
-// pinned to a different node.
-func (s *LIFL) topDstRemote(rs *liflRound, dst string, srcNode int) bool {
-	return dst == s.topName(rs.round) && rs.topBound && rs.topNode != srcNode
 }
 
 func (s *LIFL) nodeIndexOf(n *cluster.Node) int {
@@ -891,15 +777,13 @@ func (s *LIFL) finishRound(rs *liflRound) {
 		ACT:          act,
 		Updates:      rs.updates,
 		AggsCreated:  int(s.createdTotal() - rs.created0),
-		AggsActive:   len(rs.bind),
+		AggsActive:   rs.bound(),
 		NodesUsed:    len(nodes),
 		CPUTime:      s.CPUTime() - rs.cpu0,
 	}
-	s.Metrics.Record("act_seconds", act.Seconds())
-	s.Metrics.Record("active_aggs", float64(s.ActiveAggregators()))
 	s.cfg.Obs.Gauge("load/act_seconds", obs.Det).Set(act.Seconds())
 	s.cfg.Obs.Gauge("load/active_aggs", obs.Det).Set(float64(s.ActiveAggregators()))
-	s.cfg.Obs.Gauge("load/arrival_rate_per_min", obs.Det).Set(s.Metrics.Meter("arrivals", sim.Minute).Rate())
+	s.cfg.Obs.Gauge("load/arrival_rate_per_min", obs.Det).Set(s.arrivals.Rate())
 	if rs.done != nil {
 		rs.done(res)
 	}

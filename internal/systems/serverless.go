@@ -10,7 +10,6 @@ package systems
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/aggcore"
 	"repro/internal/autoscaler"
@@ -44,17 +43,14 @@ type SL struct {
 	aggSidecar map[string]*sidecar.Container // aggregator ID → its pod's sidecar
 
 	rs *slRound
-	// hist retains closed rounds' state until RetireRound evicts them.
-	hist map[int]*slRound
-}
-
-type slAgg struct {
-	agg  *aggcore.Aggregator
-	node int
-	sb   *runtime.Sandbox
+	// hist retains rounds in round order until RetireRound pops them off
+	// its front.
+	hist []*slRound
 }
 
 type slRound struct {
+	slotTable // the round's aggregators, laid out by plan
+
 	round    int
 	jobs     []ClientJob
 	done     func(RoundResult)
@@ -64,13 +60,6 @@ type slRound struct {
 	injected bool
 
 	assignNode []int
-	plans      map[int]autoscaler.Plan
-	leafFor    map[int][]string
-	leafRR     map[int]int
-	topGoal    int
-
-	bind    map[string]*slAgg
-	started map[string]bool
 
 	cpu0     sim.Duration
 	created0 uint64
@@ -78,6 +67,8 @@ type slRound struct {
 	aggDone  sim.Duration
 	finished bool
 }
+
+func (rs *slRound) closedBy(last int) bool { return rs.finished && rs.round <= last }
 
 // NewSL assembles the baseline on a fresh cluster: one broker per node
 // (persistent, stateful) plus the runtime managers.
@@ -101,7 +92,6 @@ func NewSL(eng *sim.Engine, cfg Config) *SL {
 		algo:       fedavg.FedAvg{Workers: cfg.Workers},
 		sidecars:   make(map[string]*sidecar.Container),
 		aggSidecar: make(map[string]*sidecar.Container),
-		hist:       make(map[int]*slRound),
 	}
 	for _, n := range cl.Nodes {
 		s.Brokers = append(s.Brokers, broker.New(n))
@@ -167,11 +157,6 @@ func (s *SL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 		jobs:     jobs,
 		done:     done,
 		start:    s.Eng.Now(),
-		bind:     make(map[string]*slAgg),
-		started:  make(map[string]bool),
-		plans:    make(map[int]autoscaler.Plan),
-		leafFor:  make(map[int][]string),
-		leafRR:   make(map[int]int),
 		cpu0:     s.CPUTime(),
 		created0: s.createdTotal(),
 		injected: true,
@@ -183,7 +168,7 @@ func (s *SL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 		}
 	}
 	s.rs = rs
-	s.hist[round] = rs
+	s.hist = append(s.hist, rs)
 	for _, m := range s.Mgrs {
 		m.ReapIdle()
 	}
@@ -205,7 +190,7 @@ func (s *SL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 	// Threshold autoscaler sizes the leaf pool per node from the observed
 	// in-flight load; chain levels above scale reactively on first demand.
 	th := autoscaler.Threshold{Target: s.cfg.SLTargetConcurrency, Min: 0}
-	rs.topGoal = 0
+	plans := make([]autoscaler.Plan, len(assign))
 	for node, c := range assign {
 		if c == 0 {
 			continue
@@ -222,19 +207,9 @@ func (s *SL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 			p.LeafGoals[i] = g
 			rem -= g
 		}
-		rs.plans[node] = p
-		if p.Middle {
-			rs.topGoal++
-		} else {
-			rs.topGoal += p.Leaves
-		}
-		for i := 0; i < leaves; i++ {
-			rs.leafFor[node] = append(rs.leafFor[node], fmt.Sprintf("slr%d-n%d-leaf%d", round, node, i))
-		}
+		plans[node] = p
 	}
-	if rs.topGoal == 0 {
-		rs.topGoal = 1
-	}
+	rs.slotTable = newSlotTable("slr", round, plans, s.cfg.TopNode)
 
 	// Broadcast and uploads. In the serverless architecture every client
 	// download also flows through the message broker (Fig. 2(b): the broker
@@ -266,65 +241,27 @@ func (s *SL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 }
 
 // RetireRound implements Service: evict every control-plane record for
-// rounds <= last. The round's broker topics (subscriber closures and queue
-// slots) are retired on every node's broker, the name → sidecar bindings
-// dropped, and the round state unreferenced. Sidecars themselves live and
-// die with their pods (OnReclaim), and sandboxes are never terminated here
-// — eviction is bookkeeping, not schedule.
+// rounds <= last. Finished rounds leave the front of the history in round
+// order; walking each one's slot table retires its broker topics on every
+// node's broker and drops its name → sidecar bindings, and the round state
+// is unreferenced. Sidecars themselves live and die with their pods
+// (OnReclaim), and sandboxes are never terminated here — eviction is
+// bookkeeping, not schedule.
 func (s *SL) RetireRound(last int) {
-	var rounds []int
-	for r, rs := range s.hist {
-		if r <= last && rs.finished {
-			rounds = append(rounds, r)
-		}
-	}
-	sort.Ints(rounds)
-	for _, r := range rounds {
-		s.evictRound(s.hist[r])
-		delete(s.hist, r)
-	}
-	s.cfg.Obs.Counter("ctrl/rounds_evicted", obs.Volatile).Add(uint64(len(rounds)))
+	var rounds int
+	s.hist, rounds = retireFront(s.hist, last, s.evictRound)
+	s.cfg.Obs.Counter("ctrl/rounds_evicted", obs.Volatile).Add(uint64(rounds))
 }
 
 // evictRound retires one closed round's broker topics and bindings.
 func (s *SL) evictRound(rs *slRound) {
-	names := s.roundNames(rs)
-	for _, name := range names {
+	for _, sl := range rs.slots {
 		for _, b := range s.Brokers {
-			b.RetireTopic(name)
+			b.RetireTopic(sl.name)
 		}
-		delete(s.aggSidecar, name)
+		delete(s.aggSidecar, sl.name)
 	}
-	s.cfg.Obs.Counter("ctrl/topics_retired", obs.Volatile).Add(uint64(len(names)))
-}
-
-// roundNames lists a round's logical aggregator names in deterministic
-// order: each planned node's leaves then its middle (sorted by node
-// index), and the top last.
-func (s *SL) roundNames(rs *slRound) []string {
-	nodes := make([]int, 0, len(rs.plans))
-	for nd := range rs.plans {
-		nodes = append(nodes, nd)
-	}
-	sort.Ints(nodes)
-	names := make([]string, 0, 2*len(nodes)+1)
-	for _, nd := range nodes {
-		names = append(names, rs.leafFor[nd]...)
-		if rs.plans[nd].Middle {
-			names = append(names, s.middleName(rs.round, nd))
-		}
-	}
-	return append(names, s.topName(rs.round))
-}
-
-func (s *SL) middleName(round, node int) string { return fmt.Sprintf("slr%d-n%d-middle", round, node) }
-func (s *SL) topName(round int) string          { return fmt.Sprintf("slr%d-top", round) }
-
-func (s *SL) consumerOf(rs *slRound, node int) string {
-	if rs.plans[node].Middle {
-		return s.middleName(rs.round, node)
-	}
-	return s.topName(rs.round)
+	s.cfg.Obs.Counter("ctrl/topics_retired", obs.Volatile).Add(uint64(len(rs.slots)))
 }
 
 // ingest: client upload → node ingress + kernel RX → broker (buffers the
@@ -341,11 +278,9 @@ func (s *SL) ingest(rs *slRound, node int, j ClientJob, upd *tensor.Tensor) {
 				rs.first = s.Eng.Now()
 			}
 			rs.updates++
-			leaves := rs.leafFor[node]
-			name := leaves[rs.leafRR[node]%len(leaves)]
-			rs.leafRR[node]++
-			s.ensure(rs, node, name)
-			s.Brokers[node].Publish(name, size, brokerPayload{
+			i := rs.nextLeaf(node)
+			s.ensure(rs, node, i)
+			s.Brokers[node].Publish(rs.slots[i].name, size, brokerPayload{
 				u: aggcore.Update{Tensor: upd, Weight: j.Weight, Size: size, Round: rs.round, Producer: j.ID},
 			})
 		})
@@ -356,29 +291,30 @@ type brokerPayload struct {
 	u aggcore.Update
 }
 
-// ensure reactively provisions the named aggregator (and its sidecar) on
+// ensure reactively provisions slot i's aggregator (and its sidecar) on
 // the node if not already started, then subscribes it to its broker topic.
-func (s *SL) ensure(rs *slRound, node int, name string) {
-	if rs.started[name] {
+func (s *SL) ensure(rs *slRound, node, i int) {
+	sl := &rs.slots[i]
+	if sl.started {
 		return
 	}
-	rs.started[name] = true
+	sl.started = true
 	s.cfg.Obs.Counter("ctrl/topics_created", obs.Det).Inc()
-	role, goal, dst := s.roleFor(rs, node, name)
+	name, role := sl.name, sl.role
 	n := s.Cluster.Nodes[node]
 	agg := aggcore.New(name, role, n, s.algo, s.cfg.Model.PhysLen(), s.cfg.Model.Params)
 	agg.Mode = aggcore.Lazy
 	agg.Tracer = s.cfg.Tracer
 	agg.TraceName = name
-	agg.Assign(role, goal, dst, rs.round)
+	agg.Assign(role, sl.goal, rs.dstName(i), rs.round)
 	agg.Transport = (*slTransport)(s)
 	if role == aggcore.RoleTop {
 		agg.OnComplete = s.onGlobal
 		agg.TraceName = "Top"
 	}
-	la := &slAgg{agg: agg, node: node}
+	la := &aggInst{agg: agg, node: node}
 	sb := s.Mgrs[node].Start(role.String(), func(sb *runtime.Sandbox) {
-		rs.bind[name] = la
+		sl.inst = la
 		// The sidecar lives and dies with the pod: a warm-reused sandbox
 		// keeps its sidecar, a fresh one gets a new container.
 		sc, ok := s.sidecars[sb.ID]
@@ -415,43 +351,6 @@ func (s *SL) ensure(rs *slRound, node int, name string) {
 	}
 }
 
-// roleFor resolves a logical name.
-func (s *SL) roleFor(rs *slRound, node int, name string) (aggcore.Role, int, string) {
-	if name == s.topName(rs.round) {
-		return aggcore.RoleTop, rs.topGoal, ""
-	}
-	for nd, p := range rs.plans {
-		if name == s.middleName(rs.round, nd) {
-			return aggcore.RoleMiddle, p.Leaves, s.topName(rs.round)
-		}
-		for i, ln := range rs.leafFor[nd] {
-			if ln == name {
-				return aggcore.RoleLeaf, p.LeafGoals[i], s.consumerOf(rs, nd)
-			}
-		}
-	}
-	panic(fmt.Sprintf("sl: unknown logical name %q", name))
-}
-
-// nodeOfName resolves where a logical name runs (middles stay on their
-// node, the top lives on the configured top node).
-func (s *SL) nodeOfName(rs *slRound, name string) int {
-	if name == s.topName(rs.round) {
-		return s.cfg.TopNode
-	}
-	for nd := range rs.plans {
-		if name == s.middleName(rs.round, nd) {
-			return nd
-		}
-		for _, ln := range rs.leafFor[nd] {
-			if ln == name {
-				return nd
-			}
-		}
-	}
-	panic(fmt.Sprintf("sl: unknown logical name %q", name))
-}
-
 // slTransport chains functions indirectly: source sidecar interception,
 // kernel serialize+TX into the broker, store-and-forward, then (possibly a
 // NIC crossing and) kernel RX + destination sidecar + deserialize.
@@ -462,7 +361,11 @@ func (t *slTransport) SendResult(src *aggcore.Aggregator, out aggcore.Update, ds
 	s := (*SL)(t)
 	rs := s.rs
 	srcNode := s.nodeIndexOf(src.Node)
-	dstNode := s.nodeOfName(rs, dstID)
+	dst := rs.lookup(dstID)
+	if dst < 0 {
+		panic("sl transport: unknown destination " + dstID)
+	}
+	dstNode := rs.slots[dst].node
 	n := src.Node
 	nT := len(s.cfg.Model.Layers)
 	startT := s.Eng.Now()
@@ -479,7 +382,7 @@ func (t *slTransport) SendResult(src *aggcore.Aggregator, out aggcore.Update, ds
 			n.KernelExec("sl-transport", txLat, txCPU, func(_, _ sim.Duration) {
 				s.cfg.Tracer.Add(src.TraceName, trace.KindNetwork, startT, s.Eng.Now(), out.Round)
 				forward := func(onNode int) {
-					s.ensure(rs, onNode, dstID)
+					s.ensure(rs, onNode, dst)
 					s.Brokers[onNode].Publish(dstID, out.Size, brokerPayload{u: out})
 				}
 				if srcNode == dstNode {
@@ -543,7 +446,7 @@ func (s *SL) onGlobal(top *aggcore.Aggregator, out aggcore.Update) {
 				ACT:          act,
 				Updates:      rs.updates,
 				AggsCreated:  int(s.createdTotal() - rs.created0),
-				AggsActive:   len(rs.bind),
+				AggsActive:   rs.bound(),
 				NodesUsed:    len(nodes),
 				CPUTime:      s.CPUTime() - rs.cpu0,
 			})
