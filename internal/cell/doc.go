@@ -45,6 +45,13 @@
 // Report is byte-identical for any worker count
 // (TestFabricWorkersByteIdentical).
 //
+// The global loop books each round through core's Recorder, the same one
+// the plain sync and async loops use: the Report's per-round slices,
+// milestone crossings and reached-target verdict, the core/accuracy
+// gauge, and the OnRound → Trajectory fan-out whose sink error aborts the
+// run. A K = 1 fabric's Det telemetry snapshot is therefore byte-identical
+// to the plain run's too.
+//
 // With RunConfig.Telemetry set, the fabric publishes fabric/* metrics
 // (rounds, folded shares, per-cell share gauges, outage and plan-push
 // counters) and per-round envelope spans from its serial global loop,

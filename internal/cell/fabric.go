@@ -422,10 +422,8 @@ func (f *fabric) startBeatChain(c *fcell) {
 // the survivors' aggregates into the global model.
 func (f *fabric) run() (*core.Report, *Detail, error) {
 	cfg := f.cfg
-	rep := &core.Report{System: cfg.System, Model: cfg.Model}
-	milestones := append([]float64(nil), cfg.Milestones...)
-	sort.Float64s(milestones)
-	nextMilestone := 0
+	rec := core.NewRecorder(cfg, f.activeAggs)
+	rep := rec.Report
 	// credit is the effective-round account the accuracy curve advances
 	// by: each accepted cell aggregate contributes its share of the
 	// fabric-wide quota, so full participation advances exactly one round
@@ -437,45 +435,13 @@ func (f *fabric) run() (*core.Report, *Detail, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		rep.RoundWallTotal += wall
-		if wall > rep.RoundWallMax {
-			rep.RoundWallMax = wall
-		}
-		rep.RoundsRun++
 		credit += float64(shares) / float64(f.quota)
-		acc := f.curve.At(int(credit + 1e-9))
-		point := core.AccPoint{
-			Round:    r,
-			Time:     res.End,
-			CPUTime:  f.cpuTotal(),
-			Accuracy: acc,
-		}
-		if !cfg.StreamOnly {
-			rep.Rounds = append(rep.Rounds, res)
-			rep.ActiveAggs = append(rep.ActiveAggs, f.activeAggs())
-			rep.CPUPerRound = append(rep.CPUPerRound, res.CPUTime.Seconds())
-			rep.Acc = append(rep.Acc, point)
-		}
-		for nextMilestone < len(milestones) && acc >= milestones[nextMilestone] {
-			rep.Milestones = append(rep.Milestones, core.MilestoneHit{Target: milestones[nextMilestone], At: point})
-			nextMilestone++
-		}
-		if cfg.OnRound != nil || cfg.Trajectory != nil {
-			ob := core.RoundObservation{Result: res, Acc: point, Wall: wall, Shares: shares}
-			if cfg.OnRound != nil {
-				cfg.OnRound(ob)
-			}
-			if cfg.Trajectory != nil {
-				if err := cfg.Trajectory.Observe(ob); err != nil {
-					return nil, nil, fmt.Errorf("cell: trajectory sink at round %d: %w", r, err)
-				}
-			}
+		point := core.AccPoint{Round: r, Time: res.End, CPUTime: f.cpuTotal(), Accuracy: f.curve.At(int(credit + 1e-9))}
+		if err := rec.Record(core.RoundObservation{Result: res, Acc: point, Wall: wall, Shares: shares}); err != nil {
+			return nil, nil, err
 		}
 		rep.Elapsed = res.End
-		if !rep.Reached && acc >= cfg.TargetAccuracy {
-			rep.Reached = true
-			rep.TimeToTarget = res.End
-			rep.CPUToTarget = point.CPUTime
+		if rep.Reached {
 			break
 		}
 	}

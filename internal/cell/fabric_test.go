@@ -1,6 +1,8 @@
 package cell
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/flwork"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // baseCfg is a trimmed fig9-r18-shaped workload: small enough to run in
@@ -37,15 +40,20 @@ func stripWall(r *core.Report) {
 
 // The fabric's golden rule: one cell is no fabric at all. A K=1 run must
 // produce a Report byte-identical to core.Run on the identical config —
-// same rounds, same simulated times, same CPU, same final model.
+// same rounds, same simulated times, same CPU, same final model — and the
+// same Det telemetry snapshot.
 func TestFabricK1MatchesPlainRun(t *testing.T) {
 	cfg := baseCfg()
+	plainReg := obs.New(obs.Options{})
+	cfg.Telemetry = plainReg
 	plain, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg := cfg
 	fcfg.Cells = &core.CellSpec{Count: 1}
+	fabricReg := obs.New(obs.Options{})
+	fcfg.Telemetry = fabricReg
 	rep, det, err := Run(fcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +68,33 @@ func TestFabricK1MatchesPlainRun(t *testing.T) {
 			plain.RoundsRun, plain.Elapsed, plain.CPUTotal, plain.TimeToTarget, plain.Acc[len(plain.Acc)-1],
 			rep.RoundsRun, rep.Elapsed, rep.CPUTotal, rep.TimeToTarget, rep.Acc[len(rep.Acc)-1])
 	}
+	if a, b := plainReg.Snapshot(), fabricReg.Snapshot(); !bytes.Equal(a, b) {
+		t.Fatalf("K=1 fabric snapshot diverged from plain run:\nplain:  %s\nfabric: %s", a, b)
+	}
 	if len(det.Cells) != 1 || det.Cells[0].Clients != cfg.Clients || det.Cells[0].ActivePerRound != cfg.ActivePerRound {
 		t.Fatalf("K=1 detail wrong: %+v", det.Cells)
+	}
+}
+
+// A multi-cell fabric books its global rounds through core's recorder, so
+// its snapshot carries the run's accuracy like every other shape's: the
+// core/accuracy gauge holds the Report's last accuracy point.
+func TestFabricSnapshotAccuracy(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Cells = &core.CellSpec{Count: 2}
+	reg := obs.New(obs.Options{})
+	cfg.Telemetry = reg
+	rep, _, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Gauges map[string]float64 }
+	if err := json.Unmarshal(reg.Snapshot(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := snap.Gauges["core/accuracy"]
+	if want := rep.Acc[len(rep.Acc)-1].Accuracy; !ok || got != want {
+		t.Fatalf("snapshot core/accuracy = %v (present %v), report's last accuracy %v", got, ok, want)
 	}
 }
 

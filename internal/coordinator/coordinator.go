@@ -10,40 +10,6 @@ import (
 // ClientID names an FL client.
 type ClientID string
 
-// Selector performs the selector role of §2.2: choosing a diverse set of
-// participants each round. Diversity comes from uniform sampling over the
-// available population (the paper delegates smarter participant selection —
-// Oort etc. — to orthogonal work).
-type Selector struct {
-	rng *sim.RNG
-	// OverProvision is the extra fraction of clients selected beyond the
-	// aggregation goal to absorb failures (§3 "enhances resilience by
-	// over-provisioning the number of clients").
-	OverProvision float64
-}
-
-// NewSelector builds a selector with the given over-provisioning fraction.
-func NewSelector(rng *sim.RNG, overProvision float64) *Selector {
-	return &Selector{rng: rng, OverProvision: overProvision}
-}
-
-// Select draws clients for a round with aggregation goal n: n·(1+op)
-// uniformly without replacement (capped by availability). The result is
-// deterministic for a given RNG state.
-func (s *Selector) Select(available []ClientID, goal int) []ClientID {
-	want := goal + int(float64(goal)*s.OverProvision+0.5)
-	if want > len(available) {
-		want = len(available)
-	}
-	idx := s.rng.Perm(len(available))[:want]
-	sort.Ints(idx)
-	out := make([]ClientID, want)
-	for i, j := range idx {
-		out[i] = available[j]
-	}
-	return out
-}
-
 // Heartbeats tracks client keep-alives; a client whose last beat is older
 // than the timeout is declared failed and its slot is covered by the
 // over-provisioned population.
@@ -90,21 +56,6 @@ func (h *Heartbeats) Deadline(c ClientID) (sim.Duration, bool) {
 // Pending returns how many clients have an outstanding beat — contacted
 // but neither forgotten (delivered their update) nor yet swept by Failed.
 func (h *Heartbeats) Pending() int { return len(h.last) }
-
-// Round tracks the lifecycle of one global-model round.
-type Round struct {
-	Number  int
-	Goal    int
-	Started sim.Duration
-	Ended   sim.Duration
-	// Received counts client updates that reached the aggregation service.
-	Received int
-	// Complete reports the round produced a new global model version.
-	Complete bool
-}
-
-// ACT returns the aggregation completion time of the round.
-func (r *Round) ACT() sim.Duration { return r.Ended - r.Started }
 
 // ReusePicker implements §5.3: prefer converting a warm, idle aggregator
 // that has completed its task over cold-starting a new instance for a

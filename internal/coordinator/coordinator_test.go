@@ -11,59 +11,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func pool(n int) []ClientID {
-	out := make([]ClientID, n)
-	for i := range out {
-		out[i] = ClientID(rune('a' + i%26))
-	}
-	for i := range out {
-		out[i] = ClientID(string(out[i]) + string(rune('0'+i/26)))
-	}
-	return out
-}
-
-func TestSelectorOverProvisions(t *testing.T) {
-	s := NewSelector(sim.NewRNG(1), 0.25)
-	got := s.Select(pool(100), 40)
-	if len(got) != 50 { // 40 × 1.25
-		t.Fatalf("selected %d, want 50", len(got))
-	}
-	seen := make(map[ClientID]bool)
-	for _, c := range got {
-		if seen[c] {
-			t.Fatalf("duplicate selection %v", c)
-		}
-		seen[c] = true
-	}
-}
-
-func TestSelectorCapsAtAvailability(t *testing.T) {
-	s := NewSelector(sim.NewRNG(1), 0.5)
-	if got := s.Select(pool(10), 20); len(got) != 10 {
-		t.Fatalf("selected %d from pool of 10", len(got))
-	}
-}
-
-func TestSelectorDeterministicPerSeed(t *testing.T) {
-	a := NewSelector(sim.NewRNG(7), 0).Select(pool(50), 10)
-	b := NewSelector(sim.NewRNG(7), 0).Select(pool(50), 10)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed diverged")
-		}
-	}
-	c := NewSelector(sim.NewRNG(8), 0).Select(pool(50), 10)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical selection (suspicious)")
-	}
-}
-
 func TestHeartbeatsDetectFailures(t *testing.T) {
 	eng := sim.NewEngine()
 	h := NewHeartbeats(eng, 15*sim.Second)
@@ -81,13 +28,6 @@ func TestHeartbeatsDetectFailures(t *testing.T) {
 	h.Forget("c2")
 	if len(h.Failed()) != 0 {
 		t.Fatal("forget did not clear")
-	}
-}
-
-func TestRoundACT(t *testing.T) {
-	r := Round{Started: 10 * sim.Second, Ended: 45 * sim.Second}
-	if r.ACT() != 35*sim.Second {
-		t.Fatalf("ACT = %v", r.ACT())
 	}
 }
 

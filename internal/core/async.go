@@ -17,8 +17,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -33,10 +31,8 @@ func (p *Platform) runAsync() (*Report, error) {
 	cfg := p.Cfg
 	spec := *cfg.Async
 	rng := sim.NewRNG(cfg.Seed + 2)
-	rep := &Report{System: cfg.System, Model: cfg.Model}
-	milestones := append([]float64(nil), cfg.Milestones...)
-	sort.Float64s(milestones)
-	nextMilestone := 0
+	rec := NewRecorder(cfg, p.Asys.ActiveAggregators)
+	rep := rec.Report
 
 	maxFolded := cfg.MaxRounds * cfg.ActivePerRound
 	folded := 0
@@ -44,7 +40,7 @@ func (p *Platform) runAsync() (*Report, error) {
 	stopped := false // no further dispatches once the outcome is decided
 	nextNode := 0
 	lastBumpWall := time.Now()
-	var sinkErr error // first Trajectory.Observe failure; aborts the run
+	var sinkErr error // the trajectory sink's failure; aborts the run
 
 	// dispatch fills one training slot: draw a live client (the selector
 	// beats heartbeats and skips FailureRate deaths), snapshot the current
@@ -95,58 +91,35 @@ func (p *Platform) runAsync() (*Report, error) {
 		now := time.Now()
 		wall := now.Sub(lastBumpWall)
 		lastBumpWall = now
-		rep.RoundWallTotal += wall
-		if wall > rep.RoundWallMax {
-			rep.RoundWallMax = wall
-		}
 		folded += v.Updates
-		rep.RoundsRun = v.Version
-		rep.UpdatesDiscarded += v.Discarded
-		acc := p.Curve.At(folded / cfg.ActivePerRound)
 		if reg := cfg.Telemetry; reg != nil {
 			reg.Counter("core/versions", obs.Det).Inc()
 			reg.Counter("core/updates", obs.Det).Add(uint64(v.Updates))
 			reg.Counter("core/discarded", obs.Det).Add(uint64(v.Discarded))
-			reg.Gauge("core/accuracy", obs.Det).Set(acc)
 			reg.Spans().Add(obs.Span{Actor: "version", Kind: obs.KindRound, Start: lastEnvEnd, End: v.End, Round: v.Version})
 			lastEnvEnd = v.End
 		}
-		point := AccPoint{Round: v.Version, Time: v.End, CPUTime: v.CPUTime, Accuracy: acc}
-		if !cfg.StreamOnly {
-			rep.Acc = append(rep.Acc, point)
-			rep.ActiveAggs = append(rep.ActiveAggs, p.Asys.ActiveAggregators())
-		}
-		for nextMilestone < len(milestones) && acc >= milestones[nextMilestone] {
-			rep.Milestones = append(rep.Milestones, MilestoneHit{Target: milestones[nextMilestone], At: point})
-			nextMilestone++
-		}
-		if cfg.OnRound != nil || cfg.Trajectory != nil {
-			// ACT keeps its documented meaning (aggregation span ending at
-			// model install, evaluation excluded): for a version it runs
-			// from the first surviving fold to the merge.
-			ob := RoundObservation{
-				Result: systems.RoundResult{
-					Round:        v.Version,
-					Start:        v.FirstFold,
-					FirstArrival: v.FirstFold,
-					End:          v.End,
-					ACT:          v.Installed - v.FirstFold,
-					Updates:      v.Updates,
-					CPUTime:      v.CPUTime,
-				},
-				Acc:       point,
-				Wall:      wall,
-				Discarded: v.Discarded,
-			}
-			if cfg.OnRound != nil {
-				cfg.OnRound(ob)
-			}
-			if cfg.Trajectory != nil && sinkErr == nil {
-				if err := cfg.Trajectory.Observe(ob); err != nil {
-					sinkErr = fmt.Errorf("core: trajectory sink at version %d: %w", v.Version, err)
-					done, stopped = true, true
-				}
-			}
+		// Versions arrive one at a time, numbered from 1, so the
+		// recorder's round count is the version. ACT keeps its documented
+		// meaning (aggregation span ending at model install, evaluation
+		// excluded): for a version it runs from the first surviving fold
+		// to the merge.
+		err := rec.Record(RoundObservation{
+			Result: systems.RoundResult{
+				Round:        v.Version,
+				Start:        v.FirstFold,
+				FirstArrival: v.FirstFold,
+				End:          v.End,
+				ACT:          v.Installed - v.FirstFold,
+				Updates:      v.Updates,
+				CPUTime:      v.CPUTime,
+			},
+			Acc:       AccPoint{Round: v.Version, Time: v.End, CPUTime: v.CPUTime, Accuracy: p.Curve.At(folded / cfg.ActivePerRound)},
+			Wall:      wall,
+			Discarded: v.Discarded,
+		})
+		if err != nil && sinkErr == nil {
+			sinkErr = err
 		}
 		// Version folded and installed: retire records outside the
 		// retention window (the async analogue of the round loop's
@@ -154,13 +127,7 @@ func (p *Platform) runAsync() (*Report, error) {
 		if rr := cfg.RetainRounds; rr > 0 {
 			p.Asys.RetireRound(v.Version - rr)
 		}
-		if !rep.Reached && acc >= cfg.TargetAccuracy {
-			rep.Reached = true
-			rep.TimeToTarget = v.End
-			rep.CPUToTarget = v.CPUTime
-			done, stopped = true, true
-		}
-		if folded >= maxFolded {
+		if sinkErr != nil || rep.Reached || folded >= maxFolded {
 			done, stopped = true, true
 		}
 	})

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/coordinator"
@@ -633,61 +632,24 @@ func (p *Platform) Run() (*Report, error) {
 	}
 	cfg := p.Cfg
 	rng := sim.NewRNG(cfg.Seed + 2)
-	rep := &Report{System: cfg.System, Model: cfg.Model}
+	rec := NewRecorder(cfg, p.Sys.ActiveAggregators)
+	rep := rec.Report
 	// Injected (Fig. 8-style) runs number rounds from 0, matching the
 	// microbenchmark's original single-round harness.
 	first, last := 1, cfg.MaxRounds
 	if cfg.Inject != nil {
 		first, last = 0, cfg.MaxRounds-1
 	}
-	// Milestone levels are consumed in ascending order as the (monotone)
-	// accuracy curve crosses them.
-	milestones := append([]float64(nil), cfg.Milestones...)
-	sort.Float64s(milestones)
-	nextMilestone := 0
 	for r := first; r <= last; r++ {
 		result, roundWall, err := p.StepRound(rng, r, 0)
 		if err != nil {
 			return nil, err
 		}
-		rep.RoundWallTotal += roundWall
-		if roundWall > rep.RoundWallMax {
-			rep.RoundWallMax = roundWall
+		point := AccPoint{Round: r, Time: p.Eng.Now(), CPUTime: p.Sys.CPUTime(), Accuracy: p.Curve.At(r)}
+		if err := rec.Record(RoundObservation{Result: result, Acc: point, Wall: roundWall}); err != nil {
+			return nil, err
 		}
-		rep.RoundsRun++
-		acc := p.Curve.At(r)
-		point := AccPoint{
-			Round:    r,
-			Time:     p.Eng.Now(),
-			CPUTime:  p.Sys.CPUTime(),
-			Accuracy: acc,
-		}
-		if !cfg.StreamOnly {
-			rep.Rounds = append(rep.Rounds, result)
-			rep.ActiveAggs = append(rep.ActiveAggs, p.Sys.ActiveAggregators())
-			rep.CPUPerRound = append(rep.CPUPerRound, result.CPUTime.Seconds())
-			rep.Acc = append(rep.Acc, point)
-		}
-		for nextMilestone < len(milestones) && acc >= milestones[nextMilestone] {
-			rep.Milestones = append(rep.Milestones, MilestoneHit{Target: milestones[nextMilestone], At: point})
-			nextMilestone++
-		}
-		cfg.Telemetry.Gauge("core/accuracy", obs.Det).Set(acc)
-		if cfg.OnRound != nil || cfg.Trajectory != nil {
-			ob := RoundObservation{Result: result, Acc: point, Wall: roundWall}
-			if cfg.OnRound != nil {
-				cfg.OnRound(ob)
-			}
-			if cfg.Trajectory != nil {
-				if err := cfg.Trajectory.Observe(ob); err != nil {
-					return nil, fmt.Errorf("core: trajectory sink at round %d: %w", r, err)
-				}
-			}
-		}
-		if !rep.Reached && acc >= cfg.TargetAccuracy {
-			rep.Reached = true
-			rep.TimeToTarget = p.Eng.Now()
-			rep.CPUToTarget = p.Sys.CPUTime()
+		if rep.Reached {
 			break
 		}
 	}
@@ -725,7 +687,7 @@ func (p *Platform) StepRound(rng *sim.RNG, round, goal int) (systems.RoundResult
 	if result == nil {
 		return systems.RoundResult{}, 0, errors.New("core: round did not complete")
 	}
-	p.stageWall("playout", playStart, round)
+	p.stageWall(stagePlayout, playStart, round)
 	closeStart := time.Now()
 	// Round closed, global installed: retire records that fell out of the
 	// retention window. Sitting here (not in Run's loop) covers the cell
@@ -733,11 +695,11 @@ func (p *Platform) StepRound(rng *sim.RNG, round, goal int) (systems.RoundResult
 	if rr := p.Cfg.RetainRounds; rr > 0 {
 		p.Sys.RetireRound(round - rr)
 	}
-	p.stageWall("close", closeStart, round)
+	p.stageWall(stageClose, closeStart, round)
 	if reg := p.Cfg.Telemetry; reg != nil {
 		reg.Counter("core/rounds", obs.Det).Inc()
 		reg.Counter("core/updates", obs.Det).Add(uint64(result.Updates))
-		reg.Histogram("core/act_seconds", obs.Det, obs.ExpBuckets(0.25, 12)).Observe(result.ACT.Seconds())
+		reg.Histogram("core/act_seconds", obs.Det, actBuckets).Observe(result.ACT.Seconds())
 		// The round envelope: every system span of round r nests inside it
 		// (the Perfetto schema invariant). Appended from this serial loop —
 		// the span log is single-writer by contract.
@@ -746,19 +708,33 @@ func (p *Platform) StepRound(rng *sim.RNG, round, goal int) (systems.RoundResult
 	return *result, time.Since(roundStart), nil
 }
 
+// actBuckets bounds the core/act_seconds histogram (0.25 s .. 512 s).
+var actBuckets = obs.ExpBuckets(0.25, 12)
+
+// stage names one round stage twice: Kind of its wall-clock span and its
+// Volatile wall counter. Both strings are built once, not per round.
+type stage struct{ kind, counter string }
+
+var (
+	stageSelect      = stage{"select", "stage/select/wall_ns"}
+	stageMaterialize = stage{"materialize", "stage/materialize/wall_ns"}
+	stagePlayout     = stage{"playout", "stage/playout/wall_ns"}
+	stageClose       = stage{"close", "stage/close/wall_ns"}
+)
+
 // stageWall accumulates one stage's wall clock into its Volatile counter
 // and, under CaptureWall, appends a wall-clock stage span (offsets are
 // nanoseconds since platform construction). No-ops without telemetry.
-func (p *Platform) stageWall(stage string, start time.Time, round int) {
+func (p *Platform) stageWall(s stage, start time.Time, round int) {
 	reg := p.Cfg.Telemetry
 	if reg == nil {
 		return
 	}
 	d := time.Since(start)
-	reg.Counter("stage/"+stage+"/wall_ns", obs.Volatile).Add(uint64(d))
+	reg.Counter(s.counter, obs.Volatile).Add(uint64(d))
 	if wl := reg.WallSpans(); wl != nil {
 		end := time.Since(p.wallBase)
-		wl.Add(obs.Span{Actor: "stage", Kind: stage, Start: sim.Duration(end - d), End: sim.Duration(end), Round: round})
+		wl.Add(obs.Span{Actor: "stage", Kind: s.kind, Start: sim.Duration(end - d), End: sim.Duration(end), Round: round})
 	}
 }
 
@@ -806,11 +782,11 @@ func (p *Platform) roundJobs(rng *sim.RNG, round, goal int) []systems.ClientJob 
 			Weight: float64(c.Samples),
 		})
 	}
-	p.stageWall("select", selStart, round)
+	p.stageWall(stageSelect, selStart, round)
 	// Stage two (parallel): update materialization.
 	matStart := time.Now()
 	p.attachUpdates(jobs, idx, round)
-	p.stageWall("materialize", matStart, round)
+	p.stageWall(stageMaterialize, matStart, round)
 	return jobs
 }
 

@@ -14,6 +14,14 @@
 // loop in async.go. RunConfig.Cells (CellSpec) is validated here but
 // executed by internal/cell, one layer up.
 //
+// Every loop books its rounds through one Recorder (record.go): the sync
+// and async loops here, the fabric's global loop, and trajstore.Replay,
+// which re-derives a stored run's verdicts. The Recorder owns the round
+// counters and wall totals, the per-round Report slices (kept unless
+// StreamOnly), the milestone crossings, the reached-target verdict, the
+// core/accuracy gauge, and the fan-out: OnRound first, then the
+// trajectory sink, whose error aborts the run.
+//
 // The synchronous round is decomposed into four explicit stages (see
 // stages.go): serial select & price, parallel update materialization into
 // a per-platform tensor arena, serial event play-out, and a sharded
@@ -31,10 +39,12 @@
 // (TestFlatRSSLongRun; docs/MEMORY.md).
 //
 // Runs are observable through RunConfig.Telemetry (internal/obs): the
-// round loop publishes round/update counters, accuracy gauges, ACT
+// round loop publishes round/update counters, the accuracy gauge, ACT
 // histograms and per-round envelope spans; the four stages additionally
 // record wall-clock profile counters and spans behind the registry's
-// CaptureWall opt-in. Telemetry is off by default (nil registry = no-op
+// CaptureWall opt-in. Metric names and histogram bounds are built once,
+// so telemetry adds no allocation per round
+// (TestTelemetryAllocFreePerRound). Telemetry is off by default (nil registry = no-op
 // sites), and the default snapshot is byte-identical for a fixed seed —
 // the same contract Workers and RetainRounds carry.
 package core

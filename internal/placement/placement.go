@@ -427,27 +427,6 @@ func SortedAssignments(assign map[string]int) []string {
 	return out
 }
 
-// MaxCapacityOffline reproduces Appendix E: increase the offered arrival
-// rate k until the measured execution time inflates significantly (the node
-// saturates), then MC = k′·E′. probe(k) must return the average execution
-// time observed at arrival rate k.
-func MaxCapacityOffline(probe func(k float64) sim.Duration, kStart, kStep, inflate float64) float64 {
-	if kStart <= 0 || kStep <= 0 {
-		panic("placement: non-positive probe parameters")
-	}
-	base := probe(kStart)
-	k := kStart
-	for i := 0; i < 10_000; i++ {
-		next := k + kStep
-		e := probe(next)
-		if float64(e) > inflate*float64(base) {
-			return next * e.Seconds()
-		}
-		k = next
-	}
-	return k * probe(k).Seconds()
-}
-
 // ---- Level one of the geo fabric's two-level placement ----
 //
 // The engine above places *updates onto nodes* inside one cluster (§5.1).

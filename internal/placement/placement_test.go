@@ -187,23 +187,6 @@ func TestBestFitUsesNoMoreNodesThanWorstFit(t *testing.T) {
 	}
 }
 
-func TestMaxCapacityOffline(t *testing.T) {
-	// Appendix E: execution time inflates sharply once k exceeds the knee.
-	knee := 40.0
-	probe := func(k float64) sim.Duration {
-		if k <= knee {
-			return 500 * sim.Millisecond
-		}
-		return 5 * sim.Second
-	}
-	mc := MaxCapacityOffline(probe, 5, 5, 2.0)
-	// MC = k′·E′ at the saturation point: 45 × 5 s would be the naive
-	// reading; the estimate must at least detect the knee region.
-	if mc < 20 {
-		t.Fatalf("MC estimate %v missed the knee", mc)
-	}
-}
-
 // ---- Golden equivalence vs. the seed's per-update greedy scan ----
 //
 // seedPack re-implements the original packGeneric loop: one pick per update,

@@ -30,13 +30,11 @@ type Span = obs.Span
 type Recorder struct {
 	// Log is the backing span store; nil until first Add.
 	Log *obs.SpanLog
-	// Disabled gates recording; a nil Recorder is also safely disabled.
-	Disabled bool
 }
 
 // Add records a span. Safe on a nil recorder.
 func (r *Recorder) Add(actor, kind string, start, end sim.Duration, round int) {
-	if r == nil || r.Disabled {
+	if r == nil {
 		return
 	}
 	if r.Log == nil {
@@ -62,35 +60,6 @@ func (r *Recorder) ByActor() map[string][]Span {
 	}
 	for _, ss := range out {
 		sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
-	}
-	return out
-}
-
-// RoundBounds returns the first start and last end among spans of the round.
-func (r *Recorder) RoundBounds(round int) (start, end sim.Duration, ok bool) {
-	for _, s := range r.Spans() {
-		if s.Round != round {
-			continue
-		}
-		if !ok || s.Start < start {
-			start = s.Start
-		}
-		if s.End > end {
-			end = s.End
-		}
-		ok = true
-	}
-	return start, end, ok
-}
-
-// TotalByKind sums span durations per kind for one actor ("" = all actors).
-func (r *Recorder) TotalByKind(actor string) map[string]sim.Duration {
-	out := make(map[string]sim.Duration)
-	for _, s := range r.Spans() {
-		if actor != "" && s.Actor != actor {
-			continue
-		}
-		out[s.Kind] += s.End - s.Start
 	}
 	return out
 }

@@ -21,46 +21,9 @@ func TestRecorderAndGrouping(t *testing.T) {
 	}
 }
 
-func TestRoundBounds(t *testing.T) {
-	var r Recorder
-	r.Add("a", KindAgg, 3*sim.Second, 5*sim.Second, 2)
-	r.Add("b", KindAgg, 1*sim.Second, 4*sim.Second, 2)
-	r.Add("c", KindAgg, 0, 9*sim.Second, 3)
-	start, end, ok := r.RoundBounds(2)
-	if !ok || start != sim.Second || end != 5*sim.Second {
-		t.Fatalf("bounds = %v..%v ok=%v", start, end, ok)
-	}
-	if _, _, ok := r.RoundBounds(7); ok {
-		t.Fatal("bounds for missing round")
-	}
-}
-
-func TestTotalByKind(t *testing.T) {
-	var r Recorder
-	r.Add("a", KindAgg, 0, 2*sim.Second, 1)
-	r.Add("a", KindAgg, 3*sim.Second, 4*sim.Second, 1)
-	r.Add("b", KindNetwork, 0, 5*sim.Second, 1)
-	all := r.TotalByKind("")
-	if all[KindAgg] != 3*sim.Second || all[KindNetwork] != 5*sim.Second {
-		t.Fatalf("totals: %v", all)
-	}
-	onlyA := r.TotalByKind("a")
-	if onlyA[KindNetwork] != 0 {
-		t.Fatalf("actor filter broken: %v", onlyA)
-	}
-}
-
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Add("a", KindAgg, 0, sim.Second, 1) // must not panic
-}
-
-func TestDisabledRecorder(t *testing.T) {
-	r := &Recorder{Disabled: true}
-	r.Add("a", KindAgg, 0, sim.Second, 1)
-	if len(r.Spans()) != 0 {
-		t.Fatal("disabled recorder stored spans")
-	}
 }
 
 func TestRenderGantt(t *testing.T) {

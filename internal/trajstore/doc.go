@@ -27,6 +27,8 @@
 //     flipped bit is confined to — and detected in — one block.
 //
 // Reader streams records back in write order, verifying every checksum;
-// Replay folds a whole file into the same accuracy series, milestone
-// crossings and reached-target verdict the live run reported.
+// Replay folds a whole file into the same milestone crossings and
+// reached-target verdict the live run reported. It re-derives them
+// through core's Recorder — the code that derived them live — configured
+// from the file header's target and milestone levels.
 package trajstore

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -37,9 +38,11 @@ type Summary struct {
 }
 
 // Replay scans path end to end — verifying every block checksum — and
-// folds it into the summary the live run reported. When each is non-nil
-// it is invoked per record in write order; a non-nil return aborts the
-// scan with that error.
+// folds it into the summary the live run reported. The records go through
+// core's Recorder, configured from the header's target and milestones, so
+// the crossings and the target verdict are derived exactly as the live run
+// derived them. When each is non-nil it is invoked per record in write
+// order; a non-nil return aborts the scan with that error.
 func Replay(path string, each func(Record) error) (*Summary, error) {
 	r, err := Open(path)
 	if err != nil {
@@ -47,7 +50,11 @@ func Replay(path string, each func(Record) error) (*Summary, error) {
 	}
 	defer r.Close()
 	s := &Summary{Meta: r.Meta()}
-	next := 0
+	book := core.NewRecorder(core.RunConfig{
+		StreamOnly:     true,
+		TargetAccuracy: s.Meta.Target,
+		Milestones:     s.Meta.Milestones,
+	}, nil)
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -56,35 +63,29 @@ func Replay(path string, each func(Record) error) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.Rounds == 0 {
+		if book.Report.RoundsRun == 0 {
 			s.First = rec
 		}
 		s.Last = rec
-		s.Rounds++
-		for next < len(s.Meta.Milestones) && rec.Acc >= s.Meta.Milestones[next] {
-			s.Crossings = append(s.Crossings, Crossing{
-				Target: s.Meta.Milestones[next],
-				Round:  rec.Round,
-				Acc:    rec.Acc,
-				Sim:    rec.Sim,
-				CPU:    rec.CPU,
-			})
-			next++
-		}
-		if !s.Reached && rec.Acc >= s.Meta.Target {
-			s.Reached = true
-			s.TimeToTarget = rec.Sim
-			s.CPUToTarget = rec.CPU
-		}
+		// Without a sink, Record cannot fail.
+		_ = book.Record(core.RoundObservation{
+			Acc: core.AccPoint{Round: rec.Round, Time: rec.Sim, CPUTime: rec.CPU, Accuracy: rec.Acc},
+		})
 		if each != nil {
 			if err := each(rec); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if s.Rounds == 0 {
+	rep := book.Report
+	if rep.RoundsRun == 0 {
 		return nil, fmt.Errorf("%w: no rounds stored", ErrFormat)
 	}
+	s.Rounds = rep.RoundsRun
+	for _, h := range rep.Milestones {
+		s.Crossings = append(s.Crossings, Crossing{Target: h.Target, Round: h.At.Round, Acc: h.At.Accuracy, Sim: h.At.Time, CPU: h.At.CPUTime})
+	}
+	s.Reached, s.TimeToTarget, s.CPUToTarget = rep.Reached, rep.TimeToTarget, rep.CPUToTarget
 	return s, nil
 }
 

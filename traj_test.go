@@ -2,6 +2,7 @@ package lifl
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -154,71 +155,132 @@ func TestTrajectoryIdenticalAcrossRetention(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesLiveRun pins replay fidelity: every scalar the live
-// Report carries — reached verdict, time/CPU-to-target, milestone
-// crossings, round count — must be re-derivable from the file alone, and
-// ReplayAt must return the exact observation the live run streamed.
+// shapeRun is one run shape's config, named for subtests.
+type shapeRun struct {
+	name string
+	cfg  RunConfig
+}
+
+// shapeRuns returns one config per run shape over the traj-100k TinyFL
+// workload, capped at rounds: a plain synchronous run of sys, the
+// buffered-async system, and a 2-cell fabric of sys cells. The three book
+// their rounds through one recorder, so every contract it owns must hold
+// for each of them.
+func shapeRuns(t *testing.T, rounds int, sys SystemKind) []shapeRun {
+	t.Helper()
+	plain := trajScenario(t, rounds, sys).Expand()[0].Cfg
+	async := plain
+	async.System = SystemAsync
+	fabric := plain
+	fabric.Cells = &CellSpec{Count: 2}
+	return []shapeRun{{string(sys), plain}, {"async", async}, {"fabric-2cell", fabric}}
+}
+
+// TestReplayMatchesLiveRun pins replay fidelity for every run shape: every
+// scalar the live Report carries — reached verdict, time/CPU-to-target,
+// milestone crossings, round count — must be re-derivable from the file
+// alone, and ReplayAt must return the exact observation the live run
+// streamed.
 func TestReplayMatchesLiveRun(t *testing.T) {
-	cfg := trajScenario(t, 2000, SystemSF).Expand()[0].Cfg
-	cfg.TargetAccuracy = 0.75 // reachable: TinyFL's curve tops out at 0.80
-	cfg.Milestones = []float64{0.50, 0.70}
+	for _, tc := range shapeRuns(t, 2000, SystemSF) {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.TargetAccuracy = 0.75 // reachable: TinyFL's curve tops out at 0.80
+			cfg.Milestones = []float64{0.50, 0.70}
 
-	live := map[int]RoundObservation{}
-	cfg.OnRound = func(o RoundObservation) { live[o.Acc.Round] = o }
-	path := filepath.Join(t.TempDir(), "run.traj")
-	sink, err := trajstore.NewSink(path, cfg, trajstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Trajectory = sink
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Reached {
-		t.Fatal("run did not reach its target; the test needs a crossing")
-	}
+			live := map[int]RoundObservation{}
+			cfg.OnRound = func(o RoundObservation) { live[o.Acc.Round] = o }
+			path := filepath.Join(t.TempDir(), "run.traj")
+			sink, err := trajstore.NewSink(path, cfg, trajstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Trajectory = sink
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Reached {
+				t.Fatal("run did not reach its target; the test needs a crossing")
+			}
 
-	s, err := trajstore.Replay(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rounds != rep.RoundsRun {
-		t.Fatalf("replay rounds %d, live %d", s.Rounds, rep.RoundsRun)
-	}
-	if s.Reached != rep.Reached || s.TimeToTarget != rep.TimeToTarget || s.CPUToTarget != rep.CPUToTarget {
-		t.Fatalf("replay target verdict (%v, %v, %v) != live (%v, %v, %v)",
-			s.Reached, s.TimeToTarget, s.CPUToTarget, rep.Reached, rep.TimeToTarget, rep.CPUToTarget)
-	}
-	if len(s.Crossings) != len(rep.Milestones) {
-		t.Fatalf("replay crossings %d, live milestones %d", len(s.Crossings), len(rep.Milestones))
-	}
-	for i, c := range s.Crossings {
-		h := rep.Milestones[i]
-		if c.Target != h.Target || c.Round != h.At.Round || c.Acc != h.At.Accuracy ||
-			c.Sim != h.At.Time || c.CPU != h.At.CPUTime {
-			t.Fatalf("crossing %d: replay %+v != live %+v", i, c, h)
-		}
-	}
+			s, err := trajstore.Replay(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Rounds != rep.RoundsRun {
+				t.Fatalf("replay rounds %d, live %d", s.Rounds, rep.RoundsRun)
+			}
+			if s.Reached != rep.Reached || s.TimeToTarget != rep.TimeToTarget || s.CPUToTarget != rep.CPUToTarget {
+				t.Fatalf("replay target verdict (%v, %v, %v) != live (%v, %v, %v)",
+					s.Reached, s.TimeToTarget, s.CPUToTarget, rep.Reached, rep.TimeToTarget, rep.CPUToTarget)
+			}
+			if len(s.Crossings) != len(rep.Milestones) {
+				t.Fatalf("replay crossings %d, live milestones %d", len(s.Crossings), len(rep.Milestones))
+			}
+			for i, c := range s.Crossings {
+				h := rep.Milestones[i]
+				if c.Target != h.Target || c.Round != h.At.Round || c.Acc != h.At.Accuracy ||
+					c.Sim != h.At.Time || c.CPU != h.At.CPUTime {
+					t.Fatalf("crossing %d: replay %+v != live %+v", i, c, h)
+				}
+			}
 
-	mid := s.First.Round + (s.Last.Round-s.First.Round)/2
-	rec, _, err := trajstore.ReplayAt(path, mid)
-	if err != nil {
-		t.Fatal(err)
+			mid := s.First.Round + (s.Last.Round-s.First.Round)/2
+			rec, _, err := trajstore.ReplayAt(path, mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, ok := live[mid]
+			if !ok {
+				t.Fatalf("no live observation for round %d", mid)
+			}
+			if rec.Acc != o.Acc.Accuracy || rec.Sim != o.Acc.Time || rec.CPU != o.Acc.CPUTime ||
+				rec.Updates != o.Result.Updates || rec.Discarded != o.Discarded || rec.Shares != o.Shares {
+				t.Fatalf("ReplayAt(%d) = %+v != live observation %+v", mid, rec, o)
+			}
+			if _, _, err := trajstore.ReplayAt(path, s.Last.Round+1); err == nil {
+				t.Fatal("ReplayAt past the last round did not error")
+			}
+		})
 	}
-	o, ok := live[mid]
-	if !ok {
-		t.Fatalf("no live observation for round %d", mid)
+}
+
+// errSinkFull is the failure failingSink injects.
+var errSinkFull = errors.New("sink full")
+
+// failingSink accepts observations until its failAt-th, which fails.
+type failingSink struct{ failAt, seen int }
+
+func (s *failingSink) Observe(RoundObservation) error {
+	if s.seen++; s.seen == s.failAt {
+		return errSinkFull
 	}
-	if rec.Acc != o.Acc.Accuracy || rec.Sim != o.Acc.Time || rec.CPU != o.Acc.CPUTime ||
-		rec.Updates != o.Result.Updates || rec.Discarded != o.Discarded || rec.Shares != o.Shares {
-		t.Fatalf("ReplayAt(%d) = %+v != live observation %+v", mid, rec, o)
-	}
-	if _, _, err := trajstore.ReplayAt(path, s.Last.Round+1); err == nil {
-		t.Fatal("ReplayAt past the last round did not error")
+	return nil
+}
+
+// TestSinkErrorAbortsEveryShape pins the trajectory contract for every
+// run shape: a sink error aborts the run at the failing round — no Report,
+// the sink's error in the chain — and OnRound has seen exactly the rounds
+// the sink was offered, since it runs first.
+func TestSinkErrorAbortsEveryShape(t *testing.T) {
+	for _, tc := range shapeRuns(t, 50, SystemLIFL) {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			seen := 0
+			cfg.OnRound = func(RoundObservation) { seen++ }
+			cfg.Trajectory = &failingSink{failAt: 3}
+			rep, err := Run(cfg)
+			if rep != nil || !errors.Is(err, errSinkFull) {
+				t.Fatalf("Run = (%v, %v), want a nil Report and the sink's error", rep, err)
+			}
+			if seen != 3 {
+				t.Fatalf("OnRound saw %d observations, want 3", seen)
+			}
+		})
 	}
 }
 
