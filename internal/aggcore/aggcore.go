@@ -138,13 +138,21 @@ type Aggregator struct {
 	// in bulk at Send, and the backing array is reused across rounds.
 	consumed []Update
 	// inflight is the update currently in the Agg step, held by value (a
-	// boxed pointer here cost one heap allocation per aggregated update).
+	// boxed pointer here cost one heap allocation per aggregated update),
+	// and inflightW the weight it folds with. folded is onFolded bound once,
+	// so an Agg step schedules its completion without a closure.
 	inflight    Update
+	inflightW   float64
 	hasInflight bool
+	folded      func(start, end sim.Duration)
 	busy        bool
 	dead        bool // failed instance: ignore in-flight completions
 	done        int  // updates folded into the state this round
 	sent        bool // Send already fired this round
+
+	// out is the last output Send handed to Transport, and spare the output
+	// buffer Recycle released for the next Result to overwrite.
+	out, spare *tensor.Tensor
 
 	// Stats.
 	TotalAggregated uint64
@@ -165,7 +173,40 @@ func New(id string, role Role, node *cluster.Node, algo fedavg.Algorithm, phys, 
 		state:     algo.NewState(phys, virtual),
 		TraceName: id,
 	}
+	a.folded = a.onFolded
 	return a
+}
+
+// Recycle readies a finished instance to serve a new deployment as id in
+// role — the warm pool's reuse of a homogenized runtime (§5.3): everything
+// New sets up is reset to what New(id, role, ...) on the same node would
+// build, and the Go objects behind it are kept: the accumulator state, the
+// process station, the queue backing arrays and the last output tensor.
+//
+// The instance must be quiescent: its last Send done and no step of any
+// kind still queued on Proc. An output Send handed to Transport must also
+// have been folded by its consumer, because the next Result is written
+// into it. An output handed to OnComplete is never reused — the receiver
+// may keep it (a top's aggregate becomes the global model).
+func (a *Aggregator) Recycle(id string, role Role) {
+	if a.dead || a.busy || a.hasInflight || a.Pending() > 0 {
+		panic(fmt.Sprintf("aggcore: recycling %s while it still has work", a.ID))
+	}
+	a.Proc.Reset()
+	a.state.Reset()
+	*a = Aggregator{
+		ID:        id,
+		Role:      role,
+		Node:      a.Node,
+		TraceName: id,
+		Proc:      a.Proc,
+		algo:      a.algo,
+		state:     a.state,
+		queue:     a.queue[:0],
+		consumed:  a.consumed[:0],
+		folded:    a.folded,
+		spare:     a.out,
+	}
 }
 
 // ExecAs runs work on the aggregator's single-threaded process, attributing
@@ -268,34 +309,39 @@ func (a *Aggregator) pump() {
 	}
 	a.busy = true
 	a.inflight = u
+	a.inflightW = w
 	a.hasInflight = true
 	if a.Sandbox != nil {
 		_ = a.Sandbox.SetBusy()
 	}
 	demand := a.Node.P.AggregateOne(u.Size)
-	a.ExecAs("aggregator", demand, demand, func(start, end sim.Duration) {
-		if a.dead {
-			return // the instance failed mid-step; the update was replayed
-		}
-		a.Tracer.Add(a.TraceName, trace.KindAgg, start, end, a.Round)
-		if err := a.state.Accumulate(u.Tensor, w); err != nil {
-			panic(fmt.Sprintf("aggcore %s: %v", a.ID, err))
-		}
-		a.consumed = append(a.consumed, u)
-		a.inflight = Update{}
-		a.hasInflight = false
-		a.done++
-		a.TotalAggregated++
-		a.busy = false
-		if a.done >= a.Goal {
-			a.send()
-			return
-		}
-		if a.Sandbox != nil && a.Pending() == 0 {
-			_ = a.Sandbox.SetIdle()
-		}
-		a.pump()
-	})
+	a.ExecAs("aggregator", demand, demand, a.folded)
+}
+
+// onFolded completes the Agg step pump started on the inflight update.
+func (a *Aggregator) onFolded(start, end sim.Duration) {
+	if a.dead {
+		return // the instance failed mid-step; the update was replayed
+	}
+	u := a.inflight
+	a.Tracer.Add(a.TraceName, trace.KindAgg, start, end, a.Round)
+	if err := a.state.Accumulate(u.Tensor, a.inflightW); err != nil {
+		panic(fmt.Sprintf("aggcore %s: %v", a.ID, err))
+	}
+	a.consumed = append(a.consumed, u)
+	a.inflight = Update{}
+	a.hasInflight = false
+	a.done++
+	a.TotalAggregated++
+	a.busy = false
+	if a.done >= a.Goal {
+		a.send()
+		return
+	}
+	if a.Sandbox != nil && a.Pending() == 0 {
+		_ = a.Sandbox.SetIdle()
+	}
+	a.pump()
 }
 
 // NotifyReady kicks processing once the hosting sandbox becomes ready (used
@@ -329,7 +375,17 @@ func (a *Aggregator) FailoverUpdates() []Update {
 
 // send is the Send step: emit the aggregate to the consumer.
 func (a *Aggregator) send() {
-	res, total, err := a.state.Result()
+	var (
+		res   = a.spare
+		total float64
+		err   error
+	)
+	if res != nil {
+		a.spare = nil
+		total, err = a.state.ResultInto(res)
+	} else {
+		res, total, err = a.state.Result()
+	}
 	if err != nil {
 		panic(fmt.Sprintf("aggcore %s: %v", a.ID, err))
 	}
@@ -355,11 +411,13 @@ func (a *Aggregator) send() {
 		Producer: a.ID,
 	}
 	if a.OnComplete != nil {
+		a.out = nil
 		a.OnComplete(a, out)
 		return
 	}
 	if a.Transport == nil {
 		panic(fmt.Sprintf("aggcore %s: no transport and no OnComplete", a.ID))
 	}
+	a.out = res
 	a.Transport.SendResult(a, out, a.DstID)
 }

@@ -375,3 +375,121 @@ func TestReweighDiscardReleasesShmReference(t *testing.T) {
 		t.Fatalf("shm holds %d objects after send; discarded reference leaked", n.Shm.Len())
 	}
 }
+
+// A recycled instance is indistinguishable from a fresh one: the same
+// round played through each, on one engine, folds to the same bits and
+// sends at the same virtual instant. The output buffer Transport carried
+// last round is rewritten in place; one handed to OnComplete never is.
+func TestRecycleMatchesFreshInstance(t *testing.T) {
+	eng, n := rig()
+	old := New("r1-leaf0", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	first := &captureTransport{eng: eng}
+	old.Transport = first
+	old.Assign(RoleLeaf, 2, "r1-top", 1)
+	old.Receive(mkUpdate(7, 3))
+	old.Receive(mkUpdate(-1, 2))
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	prev := first.out.Tensor
+
+	play := func(a *Aggregator) *captureTransport {
+		ct := &captureTransport{eng: eng}
+		a.Transport = ct
+		a.Assign(RoleMiddle, 3, "r2-top", 2)
+		a.Receive(mkUpdate(1, 1))
+		eng.After(sim.Second, func() { a.Receive(mkUpdate(2, 1)) })
+		eng.After(2*sim.Second, func() { a.Receive(mkUpdate(6, 2)) })
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	start := eng.Now()
+	want := play(New("r2-middle", RoleMiddle, n, fedavg.FedAvg{}, 2, 2))
+	eng.At(eng.Now()+10*sim.Second, func() {})
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	offset := eng.Now() - start
+	old.Recycle("r2-middle", RoleMiddle)
+	if old.ID != "r2-middle" || old.Role != RoleMiddle || old.Done() != 0 || old.TotalAggregated != 0 {
+		t.Fatalf("recycled identity/counters: %s %v %d %d", old.ID, old.Role, old.Done(), old.TotalAggregated)
+	}
+	got := play(old)
+	if got.count != 1 || got.at-offset != want.at {
+		t.Fatalf("recycled send at %v (count %d), fresh at %v", got.at-offset, got.count, want.at)
+	}
+	if got.out.Weight != want.out.Weight || got.out.Size != want.out.Size || got.out.Round != want.out.Round {
+		t.Fatalf("recycled output %+v, fresh %+v", *got.out, *want.out)
+	}
+	for i := range want.out.Tensor.Data {
+		if got.out.Tensor.Data[i] != want.out.Tensor.Data[i] {
+			t.Fatalf("element %d: %v, fresh %v", i, got.out.Tensor.Data[i], want.out.Tensor.Data[i])
+		}
+	}
+	if got.out.Tensor != prev {
+		t.Fatal("the output buffer Transport carried was not reused")
+	}
+
+	// Through OnComplete the output leaves for good.
+	var installed *tensor.Tensor
+	old.Recycle("r3-top", RoleTop)
+	old.OnComplete = func(_ *Aggregator, u Update) { installed = u.Tensor }
+	old.Assign(RoleTop, 1, "", 3)
+	old.Receive(mkUpdate(4, 1))
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if installed != prev {
+		t.Fatal("the recycled buffer should carry the top's output")
+	}
+	old.Recycle("r4-leaf0", RoleLeaf)
+	old.Transport = &captureTransport{eng: eng}
+	old.Assign(RoleLeaf, 1, "r4-top", 4)
+	old.Receive(mkUpdate(5, 1))
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if installed.Data[0] != 4 {
+		t.Fatalf("the installed output was overwritten: %v", installed.Data)
+	}
+}
+
+// Recycling an instance with work in flight is a bug, not a warm start.
+func TestRecycleBusyPanics(t *testing.T) {
+	eng, n := rig()
+	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	a.Transport = &captureTransport{eng: eng}
+	a.Assign(RoleLeaf, 2, "top", 1)
+	a.Receive(mkUpdate(1, 1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Recycle accepted an instance mid-fold")
+		}
+	}()
+	a.Recycle("other", RoleLeaf)
+}
+
+// The Agg step schedules its completion through the bound onFolded: a fold
+// allocates nothing once the queue and consumed arrays are warm.
+func TestFoldAllocs(t *testing.T) {
+	eng, n := rig()
+	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	a.Transport = &captureTransport{eng: eng}
+	a.Assign(RoleLeaf, 1<<30, "top", 1)
+	u := mkUpdate(1, 1)
+	for i := 0; i < 8; i++ {
+		a.Receive(u)
+	}
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		a.Receive(u)
+		eng.Step()
+	})
+	if avg > 1 {
+		t.Fatalf("a fold allocates %.2f/op, want <= 1 (amortized growth of consumed)", avg)
+	}
+}

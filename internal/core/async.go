@@ -66,7 +66,7 @@ func (p *Platform) runAsync() (*Report, error) {
 		node := nextNode
 		nextNode = (nextNode + 1) % cfg.Nodes
 		p.Asys.Dispatch(systems.AsyncJob{
-			ID:          p.Pop.ClientID(idx[0]),
+			ID:          p.clientID(idx[0]),
 			Node:        node,
 			Delay:       p.Pop.TrainTime(c),
 			Weight:      float64(c.Samples),

@@ -777,7 +777,7 @@ func (p *Platform) roundJobs(rng *sim.RNG, round, goal int) []systems.ClientJob 
 			p.arrivals.note(int((base + delay) / sim.Minute))
 		}
 		jobs = append(jobs, systems.ClientJob{
-			ID:     p.Pop.ClientID(i),
+			ID:     p.clientID(i),
 			Delay:  delay,
 			Weight: float64(c.Samples),
 		})

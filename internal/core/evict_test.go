@@ -122,45 +122,81 @@ func TestLIFLAllocPerRoundFlat(t *testing.T) {
 	}
 }
 
+// allocsPerRound runs cfg (a ctrl-churn config of at least 3,000 rounds)
+// and returns the heap objects allocated per round over rounds 1,000 to
+// 3,000. Each read follows a forced collection, which flushes the per-P
+// allocation counts the runtime otherwise publishes lazily; the collector
+// stays paused in between, so sync.Pool refills cannot count against
+// whichever run happened to collect more often.
+func allocsPerRound(t *testing.T, cfg RunConfig) float64 {
+	t.Helper()
+	sample := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:objects"}}
+	read := func() uint64 {
+		runtime.GC()
+		runtimemetrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	var from, to uint64
+	var gcPercent int
+	cfg.OnRound = func(ob RoundObservation) {
+		switch ob.Result.Round {
+		case 1000:
+			from = read()
+			gcPercent = debug.SetGCPercent(-1)
+		case 3000:
+			to = read()
+			debug.SetGCPercent(gcPercent)
+		}
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return float64(to-from) / 2000
+}
+
 // Telemetry allocates nothing per round: metric names and histogram
 // bounds are built once, not per round, so attaching a registry leaves a
 // ctrl-churn round's allocation count where it was. The window starts at
 // round 1,000, when the span log has reached its cap and stopped growing.
-// Each read follows a forced collection, which flushes the per-P
-// allocation counts the runtime otherwise publishes lazily; the collector
-// stays paused in between, so sync.Pool refills cannot count against
-// whichever run happened to collect more often.
 func TestTelemetryAllocFreePerRound(t *testing.T) {
-	perRound := func(reg *obs.Registry) float64 {
-		cfg := ctrlChurn(3000)
-		cfg.Telemetry = reg
-		sample := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-		read := func() uint64 {
-			runtime.GC()
-			runtimemetrics.Read(sample)
-			return sample[0].Value.Uint64()
-		}
-		var from, to uint64
-		var gcPercent int
-		cfg.OnRound = func(ob RoundObservation) {
-			switch ob.Result.Round {
-			case 1000:
-				from = read()
-				gcPercent = debug.SetGCPercent(-1)
-			case 3000:
-				to = read()
-				debug.SetGCPercent(gcPercent)
-			}
-		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return float64(to-from) / 2000
-	}
-	off := perRound(nil)
-	on := perRound(obs.New(obs.Options{}))
+	off := allocsPerRound(t, ctrlChurn(3000))
+	cfg := ctrlChurn(3000)
+	cfg.Telemetry = obs.New(obs.Options{})
+	on := allocsPerRound(t, cfg)
 	t.Logf("%.2f allocs/round without telemetry, %.2f with", off, on)
 	if on-off > 0.5 {
 		t.Fatalf("telemetry adds %.2f allocs/round (%.2f without, %.2f with), want <= 0.5", on-off, off, on)
+	}
+}
+
+// A ctrl-churn round queues only events that do work. A keep-alive check
+// that can no longer pass is cancelled rather than left to fire as a no-op
+// (each sandbox holds one re-armed timer), so at round close the engine
+// carries a handful of events instead of one stale check per idle
+// transition (≈182).
+func TestCtrlChurnPendingEventsAtRoundClose(t *testing.T) {
+	p, err := NewPlatform(ctrlChurn(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Eng.Pending(); n > 20 {
+		t.Fatalf("%d events pending at the close of round 1,000, want <= 20", n)
+	}
+}
+
+// A ctrl-churn round allocates only objects that do work: no hex string
+// per shm key, no client ID formatted twice, no error built per parked
+// update, no closure per fold or keep-alive check, no fresh aggregator,
+// accumulator, station and output tensor for a slot a closed round's
+// instance can serve, and no TAG nobody reads. That took a round from
+// ≈313 heap objects to under 200.
+func TestCtrlChurnAllocsPerRound(t *testing.T) {
+	perRound := allocsPerRound(t, ctrlChurn(3000))
+	t.Logf("%.2f allocs/round", perRound)
+	if perRound > 200 {
+		t.Fatalf("a ctrl-churn round allocates %.2f heap objects, want <= 200", perRound)
 	}
 }

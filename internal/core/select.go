@@ -8,10 +8,13 @@ import (
 )
 
 // roundSelector draws one round's active-client indices. Both
-// implementations walk candidates in a uniformly random order, beat every
-// contacted client's heartbeat, skip the ones that die (FailureRate), and
-// stop once the aggregation goal is met — §3's over-provisioned selection
-// with keep-alive failure detection.
+// implementations walk candidates in a uniformly random order, skip the
+// ones that die (FailureRate) and stop once the aggregation goal is met —
+// §3's over-provisioned selection with keep-alive failure detection. A
+// client that dies keeps the heartbeat it was contacted with, until the
+// monitor's timeout reports it; a live one is contacted and forgotten in
+// the same instant, which clientID does when the round names it. Formatting
+// the ID only then leaves one string per selected client per round.
 type roundSelector interface {
 	selectRound(p *Platform, rng *sim.RNG, goal int) []int
 }
@@ -40,15 +43,12 @@ func (permSelector) selectRound(p *Platform, rng *sim.RNG, goal int) []int {
 	perm := rng.Perm(p.Pop.Len())
 	var idx []int
 	for _, i := range perm {
-		id := coordinator.ClientID(p.Pop.ClientID(i))
-		p.Beats.Beat(id)
 		if cfg.FailureRate > 0 && rng.Float64() < cfg.FailureRate {
 			// The client dies before uploading; its heartbeat will expire
 			// and the monitor reports it, while a standby takes its slot.
-			p.FailuresDetected++
+			p.beatFailed(i)
 			continue
 		}
-		p.Beats.Forget(id)
 		idx = append(idx, i)
 		if len(idx) == goal {
 			break
@@ -84,14 +84,26 @@ func (s *streamSelector) selectRound(p *Platform, rng *sim.RNG, goal int) []int 
 		r := j + rng.Intn(total-j)
 		s.pool[j], s.pool[r] = s.pool[r], s.pool[j]
 		i := s.pool[j]
-		id := coordinator.ClientID(p.Pop.ClientID(i))
-		p.Beats.Beat(id)
 		if cfg.FailureRate > 0 && rng.Float64() < cfg.FailureRate {
-			p.FailuresDetected++
+			p.beatFailed(i)
 			continue
 		}
-		p.Beats.Forget(id)
 		idx = append(idx, i)
 	}
 	return idx
+}
+
+// beatFailed records the heartbeat of contacted client i, which died
+// before uploading.
+func (p *Platform) beatFailed(i int) {
+	p.Beats.Beat(coordinator.ClientID(p.Pop.ClientID(i)))
+	p.FailuresDetected++
+}
+
+// clientID returns selected client i's wire ID and forgets its heartbeat —
+// the beat of a live contact, and any beat left from a round it died in.
+func (p *Platform) clientID(i int) string {
+	id := p.Pop.ClientID(i)
+	p.Beats.Forget(coordinator.ClientID(id))
+	return id
 }

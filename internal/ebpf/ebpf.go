@@ -2,7 +2,6 @@ package ebpf
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/shm"
 	"repro/internal/sim"
@@ -164,7 +163,10 @@ func NewSKMSGProgram(eng *sim.Engine, sm *SockMap, metrics *Map[uint64, MetricSa
 // Run executes the program for one send() event: records metrics, looks up
 // the destination, and returns the verdict plus target socket. The caller
 // (data plane) is responsible for charging the CPU cycles and scheduling the
-// delivery in virtual time.
+// delivery in virtual time. A destination with no socket yet is an expected
+// outcome (the data plane parks the update until its aggregator binds), so
+// it returns VerdictDrop with the bare ErrNoSocket rather than building an
+// error per message.
 func (p *SKMSGProgram) Run(msg Message, execTime sim.Duration) (Verdict, *Socket, error) {
 	p.Runs++
 	if p.metrics != nil {
@@ -181,7 +183,7 @@ func (p *SKMSGProgram) Run(msg Message, execTime sim.Duration) (Verdict, *Socket
 	dst, ok := p.sockMap.Lookup(msg.DstID)
 	if !ok {
 		p.Drops++
-		return VerdictDrop, nil, fmt.Errorf("%w: %q in sockmap %q", ErrNoSocket, msg.DstID, p.sockMap.name)
+		return VerdictDrop, nil, ErrNoSocket
 	}
 	p.Redirects++
 	return VerdictRedirect, dst, nil

@@ -3,6 +3,7 @@ package ebpf
 import (
 	"testing"
 
+	"repro/internal/shm"
 	"repro/internal/sim"
 )
 
@@ -33,8 +34,8 @@ func TestMapCRUD(t *testing.T) {
 
 func TestSockMapRegisterLookupRemove(t *testing.T) {
 	sm := NewSockMap("sm")
-	got := ""
-	s := sm.Register("agg-1", func(m Message) { got = string(m.ShmKey) })
+	var got shm.Key
+	s := sm.Register("agg-1", func(m Message) { got = m.ShmKey })
 	if s.FD == 0 {
 		t.Fatal("socket without fd")
 	}
@@ -42,8 +43,8 @@ func TestSockMapRegisterLookupRemove(t *testing.T) {
 	if !ok || sock != s {
 		t.Fatal("lookup failed")
 	}
-	sock.Deliver(Message{ShmKey: "k1"})
-	if got != "k1" {
+	sock.Deliver(Message{ShmKey: shm.Key{1}})
+	if got != (shm.Key{1}) {
 		t.Fatal("deliver did not reach callback")
 	}
 	// Fig. 12: a remote aggregator's ID can map to the local gateway socket.
@@ -67,7 +68,7 @@ func TestSKMSGRedirects(t *testing.T) {
 	prog := NewSKMSGProgram(eng, sm, metrics)
 	sm.Register("top", func(Message) {})
 
-	v, sock, err := prog.Run(Message{SrcID: "leaf", DstID: "top", ShmKey: "k", Size: 16, Kind: "update"}, 2*sim.Second)
+	v, sock, err := prog.Run(Message{SrcID: "leaf", DstID: "top", ShmKey: shm.Key{2}, Size: 16, Kind: "update"}, 2*sim.Second)
 	if err != nil || v != VerdictRedirect || sock == nil {
 		t.Fatalf("run: v=%v sock=%v err=%v", v, sock, err)
 	}

@@ -28,6 +28,10 @@ type State interface {
 	// Result returns the aggregate so far and its total weight. The
 	// returned tensor is owned by the caller (safe to publish immutably).
 	Result() (*tensor.Tensor, float64, error)
+	// ResultInto is Result written into dst instead of a new tensor: dst
+	// must have the state's physical length, and nothing may still read
+	// it. It returns the total weight.
+	ResultInto(dst *tensor.Tensor) (float64, error)
 	// Count returns how many updates have been folded in.
 	Count() int
 	// Reset clears the accumulator for reuse in the next round.
@@ -81,10 +85,22 @@ func (s *fedAvgState) Result() (*tensor.Tensor, float64, error) {
 		return nil, 0, ErrEmpty
 	}
 	out := tensor.NewVirtual(s.phys, s.virtual)
-	if err := s.acc.MeanInto(out); err != nil {
+	total, err := s.ResultInto(out)
+	if err != nil {
 		return nil, 0, err
 	}
-	return out, s.acc.Total(), nil
+	return out, total, nil
+}
+
+func (s *fedAvgState) ResultInto(dst *tensor.Tensor) (float64, error) {
+	if s.acc.Count() == 0 {
+		return 0, ErrEmpty
+	}
+	if err := s.acc.MeanInto(dst); err != nil {
+		return 0, err
+	}
+	dst.VirtualLen = max(s.virtual, s.phys)
+	return s.acc.Total(), nil
 }
 
 func (s *fedAvgState) Count() int { return s.acc.Count() }

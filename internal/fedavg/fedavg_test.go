@@ -64,6 +64,37 @@ func TestFedAvgEmptyAndReset(t *testing.T) {
 	}
 }
 
+// ResultInto is Result written over a recycled tensor: the same bits and
+// geometry whatever the tensor held, and the same error contract.
+func TestFedAvgResultIntoMatchesResult(t *testing.T) {
+	st := FedAvg{}.NewState(3, 96)
+	dst := tensor.FromSlice([]float32{9, 9, 9})
+	if _, err := st.ResultInto(dst); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("empty ResultInto: %v", err)
+	}
+	_ = st.Accumulate(tensor.FromSlice([]float32{1, 2, 3}), 3)
+	_ = st.Accumulate(tensor.FromSlice([]float32{0.1, 0.7, -4}), 5)
+	want, wantTotal, err := st.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := st.ResultInto(dst)
+	if err != nil || total != wantTotal {
+		t.Fatalf("ResultInto total %v, %v; want %v", total, err, wantTotal)
+	}
+	if dst.VirtualLen != want.VirtualLen {
+		t.Fatalf("virtual len %d, want %d", dst.VirtualLen, want.VirtualLen)
+	}
+	for i := range want.Data {
+		if dst.Data[i] != want.Data[i] {
+			t.Fatalf("element %d: %v, want %v", i, dst.Data[i], want.Data[i])
+		}
+	}
+	if _, err := st.ResultInto(tensor.New(2)); err == nil {
+		t.Fatal("ResultInto accepted a tensor of the wrong length")
+	}
+}
+
 func TestFedAvgRejectsBadInput(t *testing.T) {
 	st := FedAvg{}.NewState(2, 2)
 	if err := st.Accumulate(tensor.New(3), 1); err == nil {

@@ -1,8 +1,8 @@
 package flwork
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/par"
@@ -164,9 +164,15 @@ func (p *Population) Client(i int) *Client {
 }
 
 // ClientID derives client i's wire identity on demand ("client-0042") —
-// the legacy per-client ID string, minus 10M resident Sprintf results.
+// the legacy per-client ID string, minus 10M resident strings. It renders
+// fmt's "client-%04d" for i >= 0 with one allocation, the string itself.
 func (p *Population) ClientID(i int) string {
-	return fmt.Sprintf("client-%04d", i)
+	var buf [32]byte
+	b := append(buf[:0], "client-"...)
+	for lim := 1000; i < lim && lim > 1; lim /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // TrainTime returns how long client c needs for one local training pass.
@@ -212,18 +218,98 @@ func (p *Population) LocalUpdateInto(dst *tensor.Tensor, c *Client, global *tens
 	p.perturb(dst, c, round)
 }
 
-// perturb applies the deterministic client/round perturbation in place.
+// perturb applies the deterministic client/round perturbation in place:
+// element i gains mag·sin(0.01·i + phase), where the magnitude decays with
+// rounds (local steps shrink as the model converges) and the phase makes
+// the direction client-specific via LabelSkew.
+//
+// The sine is Go's portable math.sin (sin.go, Cephes) inlined for the
+// arguments it sees here: x = 0.01·i + phase is finite, >= 0 and far below
+// the 2^29 at which math.sin switches to Payne–Hanek reduction (a tensor
+// would need 5·10^10 elements to reach it), so the NaN, Inf, sign and
+// trigReduce branches are gone. What remains is done once per run of
+// elements sharing the octant uint64(x·4/π) — the octant's zero mapping,
+// reflection and sin-or-cos choice — and per element only the Cody–Waite
+// reduction and the polynomial, each in math.sin's exact expression shape
+// (so a fused multiply-add, which Go may use on arm64, ppc64le and s390x,
+// is applied alike). TestPerturbMatchesMathSin pins the result bit for bit
+// to the loop over math.Sin that this replaces, which is math.sin on every
+// port but s390x, whose math.Sin is assembly.
 func (p *Population) perturb(u *tensor.Tensor, c *Client, round int) {
-	// Perturbation magnitude decays with rounds (local steps shrink as the
-	// model converges); direction is client-specific via LabelSkew.
 	mag := 0.5 / math.Sqrt(float64(round)+1)
 	phase := c.LabelSkew * 2 * math.Pi
-	for i := range u.Data {
-		// Deterministic pseudo-gradient: smooth in i, client-phase-shifted.
-		g := math.Sin(float64(i)*0.01+phase) * mag
-		u.Data[i] += float32(g)
+	data := u.Data
+	for i := 0; i < len(data); {
+		x := float64(i)*0.01 + phase
+		if x == 0 { // sin(±0) = ±0
+			data[i] += float32(x * mag)
+			i++
+			continue
+		}
+		oct := uint64(x * (4 / math.Pi))
+		j, y := oct, float64(oct)
+		if j&1 == 1 { // map zeros to origin
+			j++
+			y++
+		}
+		j &= 7
+		neg := j > 3 // reflect in x axis
+		if neg {
+			j -= 4
+		}
+		if j == 1 || j == 2 {
+			for ; i < len(data); i++ {
+				x := float64(i)*0.01 + phase
+				if uint64(x*(4/math.Pi)) != oct {
+					break
+				}
+				z := ((x - y*pi4A) - y*pi4B) - y*pi4C
+				zz := z * z
+				s := 1.0 - 0.5*zz + zz*zz*((((((cos0*zz)+cos1)*zz+cos2)*zz+cos3)*zz+cos4)*zz+cos5)
+				if neg {
+					s = -s
+				}
+				data[i] += float32(s * mag)
+			}
+			continue
+		}
+		for ; i < len(data); i++ {
+			x := float64(i)*0.01 + phase
+			if uint64(x*(4/math.Pi)) != oct {
+				break
+			}
+			z := ((x - y*pi4A) - y*pi4B) - y*pi4C
+			zz := z * z
+			s := z + z*zz*((((((sin0*zz)+sin1)*zz+sin2)*zz+sin3)*zz+sin4)*zz+sin5)
+			if neg {
+				s = -s
+			}
+			data[i] += float32(s * mag)
+		}
 	}
 }
+
+// math.sin's constants: π/4 split in three parts for the extended-precision
+// reduction, and the Cephes sin and cos polynomial coefficients.
+const (
+	pi4A = 7.85398125648498535156e-1  // 0x3fe921fb40000000
+	pi4B = 3.77489470793079817668e-8  // 0x3e64442d00000000
+	pi4C = 2.69515142907905952645e-15 // 0x3ce8469898cc5170
+
+	sin0 = 1.58962301576546568060e-10 // 0x3de5d8fd1fd19ccd
+	sin1 = -2.50507477628578072866e-8 // 0xbe5ae5e5a9291f5d
+	sin2 = 2.75573136213857245213e-6  // 0x3ec71de3567d48a1
+	sin3 = -1.98412698295895385996e-4 // 0xbf2a01a019bfdf03
+	sin4 = 8.33333333332211858878e-3  // 0x3f8111111110f7d0
+	sin5 = -1.66666666666666307295e-1 // 0xbfc5555555555548
+
+	cos0 = -1.13585365213876817300e-11 // 0xbda8fa49a0861a9b
+	cos1 = 2.08757008419747316778e-9   // 0x3e21ee9d7b4e3f05
+	cos2 = -2.75573141792967388112e-7  // 0xbe927e4f7eac4bc6
+	cos3 = 2.48015872888517045348e-5   // 0x3efa01a019c844f5
+	cos4 = -1.38888888888730564116e-3  // 0xbf56c16c16c14f91
+	cos5 = 4.16666666666665929218e-2   // 0x3fa555555555554b
+)
 
 // Curve is the accuracy-vs-round learning curve a(r) = Amax·(1 − e^{−r/Tau})
 // with small deterministic ripple, calibrated per model.

@@ -1,11 +1,14 @@
 package flwork
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 func pop(class ClientClass, n int) *Population {
@@ -59,6 +62,11 @@ func TestClientIDFormat(t *testing.T) {
 	}
 	if got := p.ClientID(123456); got != "client-123456" {
 		t.Fatalf("ClientID(123456) = %q", got)
+	}
+	for i := 0; i < 20_000; i++ {
+		if got, want := p.ClientID(i), fmt.Sprintf("client-%04d", i); got != want {
+			t.Fatalf("ClientID(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 
@@ -220,5 +228,65 @@ func TestCurveCrossingStable(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// perturbRef is the loop perturb replaced: one math.Sin per element. It is
+// the reference TestPerturbMatchesMathSin holds the inlined kernel to.
+func perturbRef(u *tensor.Tensor, c *Client, round int) {
+	mag := 0.5 / math.Sqrt(float64(round)+1)
+	phase := c.LabelSkew * 2 * math.Pi
+	for i := range u.Data {
+		g := math.Sin(float64(i)*0.01+phase) * mag
+		u.Data[i] += float32(g)
+	}
+}
+
+// The inlined kernel must reproduce the math.Sin loop bit for bit: every
+// fixed-seed Report, trajectory and digest rests on the update values. The
+// pairs are random (LabelSkew, round) draws over four ResNet-18 lengths of
+// elements (so the argument runs past 2π·17), plus LabelSkew = 0 (the
+// x = 0 element) and TinyFL's 64-element update.
+func TestPerturbMatchesMathSin(t *testing.T) {
+	pairs := 2000
+	if testing.Short() {
+		pairs = 200
+	}
+	rng := sim.NewRNG(25)
+	base := tensor.New(4 * model.ResNet18.PhysLen())
+	for i := range base.Data {
+		base.Data[i] = float32(rng.NormFloat64())
+	}
+	p := &Population{}
+	check := func(c Client, round, n int) {
+		t.Helper()
+		want := tensor.FromSlice(base.Data[:n])
+		got := tensor.FromSlice(base.Data[:n])
+		perturbRef(want, &c, round)
+		p.perturb(got, &c, round)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("LabelSkew %v round %d element %d: %v, math.Sin gives %v",
+					c.LabelSkew, round, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	for k := 0; k < pairs; k++ {
+		check(Client{LabelSkew: rng.Float64()}, rng.Intn(10_000), base.Len())
+	}
+	for _, round := range []int{0, 1, 7, 9999} {
+		check(Client{}, round, base.Len())
+		check(Client{LabelSkew: rng.Float64()}, round, model.TinyFL.PhysLen())
+	}
+}
+
+// BenchmarkPerturb times one ResNet-18 local update's perturbation.
+func BenchmarkPerturb(b *testing.B) {
+	p := &Population{}
+	u := model.ResNet18.NewTensor()
+	c := Client{LabelSkew: 0.37}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.perturb(u, &c, i)
 	}
 }

@@ -41,7 +41,7 @@ func TestReceiveExternalCommitsToShm(t *testing.T) {
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if key == "" {
+	if key == (shm.Key{}) {
 		t.Fatal("no commit")
 	}
 	o, err := c.Nodes[0].Shm.Get(key)
@@ -68,7 +68,7 @@ func TestOnUpdateDispatch(t *testing.T) {
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if got == "" {
+	if got == (shm.Key{}) {
 		t.Fatal("OnUpdate not invoked for node-level queue commit")
 	}
 }
@@ -90,7 +90,7 @@ func TestSendRemoteDeliversAndReleasesLocal(t *testing.T) {
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if remoteKey == "" {
+	if remoteKey == (shm.Key{}) {
 		t.Fatal("no remote delivery")
 	}
 	// Local object released after serialization; remote object committed.
@@ -144,7 +144,7 @@ func TestSendRemoteDefaultSockmapDelivery(t *testing.T) {
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if delivered.ShmKey == "" || delivered.DstID != "agg-top" || delivered.SrcID != "leaf-0" {
+	if delivered.ShmKey == (shm.Key{}) || delivered.DstID != "agg-top" || delivered.SrcID != "leaf-0" {
 		t.Fatalf("sockmap delivery: %+v", delivered)
 	}
 }

@@ -67,6 +67,11 @@ type Sandbox struct {
 	mem           uint64
 	upkeepSettled sim.Duration
 	mgr           *Manager
+
+	// expiry is the sandbox's keep-alive check, bound once to expire and
+	// re-armed by SetIdle; expiryMark is the LastIdle it checks against.
+	expiry     sim.Timer
+	expiryMark sim.Duration
 }
 
 // settleUpkeep charges the sandbox's continuous runtime CPU drain accrued
@@ -94,24 +99,45 @@ func (s *Sandbox) SetBusy() error {
 }
 
 // SetIdle transitions to Idle and timestamps it for keep-alive reclamation.
-// A one-shot expiry check is scheduled so idle instances are reclaimed on
-// time even when the control plane is otherwise quiet.
+// A one-shot expiry check is armed so idle instances are reclaimed on time
+// even when the control plane is otherwise quiet. The check passes only if
+// the sandbox is idle with this same LastIdle when it fires, so a check
+// armed at an earlier instant can never pass once LastIdle moves on: it is
+// stopped, not left queued. Going busy or a warm start stops nothing — the
+// sandbox can be idle again at the same LastIdle (a warm start returns to
+// Idle without calling SetIdle), and then the armed check still counts.
 func (s *Sandbox) SetIdle() error {
 	if s.state == StateTerminated {
 		return fmt.Errorf("%w: %s", ErrTerminated, s.ID)
 	}
 	s.state = StateIdle
 	s.LastIdle = s.Node.Eng.Now()
-	if s.mgr != nil && !s.mgr.DisableKeepAlive {
-		idleMark := s.LastIdle
-		s.Node.Eng.After(s.Node.P.KeepAliveIdle+sim.Millisecond, func() {
-			// Reap only if the sandbox has stayed idle since this mark.
-			if s.state == StateIdle && s.LastIdle == idleMark {
+	if s.mgr == nil || s.mgr.DisableKeepAlive {
+		return nil
+	}
+	delay := s.Node.P.KeepAliveIdle + sim.Millisecond
+	if s.expiry.Armed() && s.expiryMark == s.LastIdle {
+		// Idle again at the instant of the armed check, which can still
+		// pass: keep it, and queue this spell's own check behind it.
+		mark := s.LastIdle
+		s.Node.Eng.After(delay, func() {
+			if s.state == StateIdle && s.LastIdle == mark {
 				s.mgr.ReapIdle()
 			}
 		})
+		return nil
 	}
+	s.expiryMark = s.LastIdle
+	s.expiry.Reset(delay)
 	return nil
+}
+
+// expire is the keep-alive check SetIdle arms: reap only if the sandbox has
+// stayed idle since the mark.
+func (s *Sandbox) expire() {
+	if s.state == StateIdle && s.LastIdle == s.expiryMark {
+		s.mgr.ReapIdle()
+	}
 }
 
 // Manager is the per-node lifecycle manager (the LIFL agent's runtime duty,
@@ -173,6 +199,7 @@ func (m *Manager) Start(prefix string, ready func(*Sandbox)) *Sandbox {
 		upkeepSettled: m.Node.Eng.Now(),
 		mgr:           m,
 	}
+	sb.expiry = m.Node.Eng.NewTimer(sb.expire)
 	m.sandboxes[sb.ID] = sb
 	m.Node.AllocMem(sb.mem)
 	// Cold start: the container/runtime initialization occupies CPU and
@@ -225,12 +252,14 @@ func (m *Manager) IdleCount() int {
 // LiveCount returns sandboxes not yet terminated.
 func (m *Manager) LiveCount() int { return len(m.sandboxes) }
 
-// Terminate destroys a sandbox, freeing its memory.
+// Terminate destroys a sandbox, freeing its memory. Its armed keep-alive
+// check can no longer pass, so it is stopped.
 func (m *Manager) Terminate(sb *Sandbox) {
 	if sb.state == StateTerminated {
 		return
 	}
 	sb.settleUpkeep()
+	sb.expiry.Stop()
 	sb.state = StateTerminated
 	m.Node.FreeMem(sb.mem)
 	delete(m.sandboxes, sb.ID)
@@ -268,6 +297,7 @@ func (m *Manager) ReapIdle() int {
 // TerminateAll tears everything down (end of experiment).
 func (m *Manager) TerminateAll() {
 	for _, sb := range m.sandboxes {
+		sb.expiry.Stop()
 		sb.state = StateTerminated
 		m.Node.FreeMem(sb.mem)
 	}

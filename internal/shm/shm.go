@@ -16,9 +16,12 @@ var (
 	ErrOutOfSpace = errors.New("shm: store capacity exceeded")
 )
 
-// Key addresses an object in a node's store. Keys are random 16-byte strings
-// (hex-encoded for readability) generated by the store, as in Appendix A.
-type Key string
+// Key addresses an object in a node's store: the 16 random bytes the store
+// draws for it, as in Appendix A. It is hex-encoded only when printed.
+type Key [16]byte
+
+// String renders the key as 32 hex digits.
+func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Object is an immutable model update resident in shared memory.
 type Object struct {
@@ -72,10 +75,9 @@ func NewStore(eng *sim.Engine, rng *sim.RNG, node string, capacity uint64) *Stor
 // newKey generates a fresh random 16-byte key, retrying on the (vanishingly
 // unlikely) collision.
 func (s *Store) newKey() Key {
-	var raw [16]byte
+	var k Key
 	for {
-		s.rng.Bytes(raw[:])
-		k := Key(hex.EncodeToString(raw[:]))
+		s.rng.Bytes(k[:])
 		if _, exists := s.objects[k]; !exists {
 			return k
 		}
@@ -88,7 +90,7 @@ func (s *Store) newKey() Key {
 func (s *Store) Put(t *tensor.Tensor, weight float64, producer string, round int) (Key, error) {
 	size := t.VirtualBytes()
 	if s.capacity > 0 && s.used+size > s.capacity {
-		return "", fmt.Errorf("%w: node %s used %d + %d > cap %d", ErrOutOfSpace, s.node, s.used, size, s.capacity)
+		return Key{}, fmt.Errorf("%w: node %s used %d + %d > cap %d", ErrOutOfSpace, s.node, s.used, size, s.capacity)
 	}
 	k := s.newKey()
 	s.objects[k] = &Object{

@@ -21,7 +21,7 @@ func TestPutGetRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(k) != 32 { // 16 random bytes hex-encoded
+	if len(k.String()) != 32 { // 16 random bytes, hex-encoded when printed
 		t.Fatalf("key %q not 16 bytes hex", k)
 	}
 	o, err := s.Get(k)
@@ -73,10 +73,10 @@ func TestRefCounting(t *testing.T) {
 
 func TestAddRefMissing(t *testing.T) {
 	s := newStore(0)
-	if err := s.AddRef("nope"); !errors.Is(err, ErrNotFound) {
+	if err := s.AddRef(Key{0xde, 0xad}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := s.Refs("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Refs(Key{0xde, 0xad}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }

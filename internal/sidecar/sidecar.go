@@ -1,6 +1,8 @@
 package sidecar
 
 import (
+	"fmt"
+
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/ebpf"
@@ -82,7 +84,7 @@ func (e *EBPF) OnSend(msg ebpf.Message, execTime sim.Duration) (*ebpf.Socket, er
 	e.Node.ExecFree("ebpf-sidecar", costmodel.Cycles(e.Node.P.EBPFMetricsCycles))
 	_, sock, err := e.Node.SKMSG.Run(msg, execTime)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sidecar on %s: sending to %q: %w", e.Node.Name, msg.DstID, err)
 	}
 	return sock, nil
 }

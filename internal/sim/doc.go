@@ -14,6 +14,13 @@
 // beyond the caller's own closure — and AtSpan removes even that for the
 // dominant (start, end)-completion shape.
 //
+// A Timer is an event that can be taken back. Bound once to its callback
+// and kept by value in its owner, it is re-armed (Reset) and cancelled
+// (Stop) without allocating: the heap records the queued firing's index in
+// the Timer, so Stop removes it in O(log n) instead of leaving a no-op to
+// run. Cancelling never reorders what remains — every other event keeps
+// its (time, sequence) key.
+//
 // Layer (DESIGN.md): leaf — the deterministic discrete-event kernel
 // (engine/station/queue/rng) everything above runs on; see the event-engine
 // invariants in DESIGN.md.

@@ -197,12 +197,16 @@ func TestEngineOrderProperty(t *testing.T) {
 //
 // refEngine re-implements the original event loop (pointer events in a
 // binary container/heap) so the value-based 4-ary engine can be proven to
-// execute an arbitrary schedule in the exact same (time, seq) order.
+// execute an arbitrary schedule in the exact same (time, seq) order. It has
+// no way to take an event back: a stopped timer's event stays queued,
+// flagged, and runs as a no-op — the schedule the Timer contract must match
+// once those no-ops are filtered out.
 
 type refEvent struct {
-	at  Duration
-	seq uint64
-	fn  func()
+	at        Duration
+	seq       uint64
+	fn        func()
+	cancelled bool
 }
 
 type refHeap []*refEvent
@@ -229,82 +233,158 @@ type refEngine struct {
 	now    Duration
 	seq    uint64
 	events refHeap
+	timers []func()
+	queued []*refEvent // per timer: its latest queued event
 }
 
-func (e *refEngine) at(t Duration, fn func()) {
+func (e *refEngine) at(t Duration, fn func()) *refEvent {
 	e.seq++
-	heap.Push(&e.events, &refEvent{at: t, seq: e.seq, fn: fn})
+	ev := &refEvent{at: t, seq: e.seq, fn: fn}
+	heap.Push(&e.events, ev)
+	return ev
 }
 
 func (e *refEngine) run() {
 	for len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(*refEvent)
 		e.now = ev.at
-		ev.fn()
+		if !ev.cancelled {
+			ev.fn()
+		}
 	}
 }
 
-// TestEngineEquivalentToBoxedHeap drives both engines through an identical
-// randomized, self-rescheduling workload (including AtSpan events on the new
-// engine) and requires byte-identical execution traces.
-func TestEngineEquivalentToBoxedHeap(t *testing.T) {
-	const seeds = 20
-	for s := int64(0); s < seeds; s++ {
-		trace := func(useRef bool) []string {
-			rng := NewRNG(s)
-			var out []string
-			if useRef {
-				e := &refEngine{}
-				var spawn func(id, depth int)
-				spawn = func(id, depth int) {
-					d := rng.Uniform(Second)
-					e.at(e.now+d, func() {
-						out = append(out, fmt.Sprintf("%d@%v", id, e.now))
-						if depth < 3 {
-							spawn(id*10+1, depth+1)
-							spawn(id*10+2, depth+1)
-						}
-					})
-				}
-				for i := 0; i < 8; i++ {
-					spawn(i, 0)
-				}
-				e.run()
-				return out
-			}
-			e := NewEngine()
-			var spawn func(id, depth int)
-			spawn = func(id, depth int) {
-				d := rng.Uniform(Second)
-				// Alternate At and AtSpan so both event shapes interleave
-				// through the same heap with the same ordering.
-				if id%2 == 0 {
-					e.After(d, func() {
-						out = append(out, fmt.Sprintf("%d@%v", id, e.Now()))
-						if depth < 3 {
-							spawn(id*10+1, depth+1)
-							spawn(id*10+2, depth+1)
-						}
-					})
-				} else {
-					e.AtSpan(e.Now()+d, e.Now(), e.Now()+d, func(_, end Duration) {
-						out = append(out, fmt.Sprintf("%d@%v", id, end))
-						if depth < 3 {
-							spawn(id*10+1, depth+1)
-							spawn(id*10+2, depth+1)
-						}
-					})
-				}
-			}
-			for i := 0; i < 8; i++ {
-				spawn(i, 0)
-			}
-			if err := e.RunUntilIdle(); err != nil {
-				t.Fatal(err)
-			}
-			return out
+// scheduler is the scheduling surface the equivalence workload drives,
+// implemented once over each engine.
+type scheduler interface {
+	now() Duration
+	after(d Duration, fn func())
+	afterSpan(d Duration, fn func())
+	newTimer(fn func()) int
+	reset(h int, d Duration)
+	stop(h int)
+	run() error
+}
+
+type refScheduler struct{ e *refEngine }
+
+func (r refScheduler) now() Duration               { return r.e.now }
+func (r refScheduler) after(d Duration, fn func()) { r.e.at(r.e.now+d, fn) }
+func (r refScheduler) afterSpan(d Duration, fn func()) {
+	r.e.at(r.e.now+d, fn)
+}
+func (r refScheduler) newTimer(fn func()) int {
+	r.e.timers = append(r.e.timers, fn)
+	r.e.queued = append(r.e.queued, nil)
+	return len(r.e.timers) - 1
+}
+func (r refScheduler) reset(h int, d Duration) {
+	r.stop(h)
+	r.e.queued[h] = r.e.at(r.e.now+d, r.e.timers[h])
+}
+func (r refScheduler) stop(h int) {
+	if ev := r.e.queued[h]; ev != nil {
+		ev.cancelled = true
+	}
+}
+func (r refScheduler) run() error { r.e.run(); return nil }
+
+type engScheduler struct {
+	e      *Engine
+	timers *[]*Timer
+}
+
+func (d engScheduler) now() Duration               { return d.e.Now() }
+func (d engScheduler) after(x Duration, fn func()) { d.e.After(x, fn) }
+func (d engScheduler) afterSpan(x Duration, fn func()) {
+	d.e.AtSpan(d.e.Now()+x, d.e.Now(), d.e.Now()+x, func(_, end Duration) {
+		if end != d.e.Now() {
+			panic("AtSpan delivered a span that does not end now")
 		}
-		ref, got := trace(true), trace(false)
+		fn()
+	})
+}
+func (d engScheduler) newTimer(fn func()) int {
+	tm := d.e.NewTimer(fn)
+	*d.timers = append(*d.timers, &tm)
+	return len(*d.timers) - 1
+}
+func (d engScheduler) reset(h int, x Duration) { (*d.timers)[h].Reset(x) }
+func (d engScheduler) stop(h int)              { (*d.timers)[h].Stop() }
+func (d engScheduler) run() error              { return d.e.RunUntilIdle() }
+
+// equivalenceTrace runs a randomized, self-rescheduling workload on d: a
+// third of the events are plain At callbacks, a third AtSpan completions
+// and a third timers, and every event that runs may stop or re-arm a random
+// armed timer. It returns the executed events as "id@time".
+func equivalenceTrace(t *testing.T, d scheduler, seed int64) []string {
+	rng := NewRNG(seed)
+	var out []string
+	var armed []int // timer handles with a firing queued
+	drop := func(k int) { armed = append(armed[:k], armed[k+1:]...) }
+	var spawn func(id, depth int)
+	fire := func(id, depth int) {
+		out = append(out, fmt.Sprintf("%d@%v", id, d.now()))
+		switch rng.Intn(4) {
+		case 0:
+			if len(armed) > 0 {
+				k := rng.Intn(len(armed))
+				d.stop(armed[k])
+				drop(k)
+			}
+		case 1:
+			if len(armed) > 0 {
+				d.reset(armed[rng.Intn(len(armed))], rng.Uniform(Second))
+			}
+		}
+		if depth < 3 {
+			spawn(id*10+1, depth+1)
+			spawn(id*10+2, depth+1)
+		}
+	}
+	spawn = func(id, depth int) {
+		delay := rng.Uniform(Second)
+		switch id % 3 {
+		case 0:
+			d.after(delay, func() { fire(id, depth) })
+		case 1:
+			d.afterSpan(delay, func() { fire(id, depth) })
+		default:
+			var h int
+			h = d.newTimer(func() {
+				for k, a := range armed {
+					if a == h {
+						drop(k)
+						break
+					}
+				}
+				fire(id, depth)
+			})
+			d.reset(h, delay)
+			armed = append(armed, h)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		spawn(i, 0)
+	}
+	if err := d.run(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEngineEquivalentToBoxedHeap drives both engines through an identical
+// randomized workload — At, AtSpan and Timer events interleaved through one
+// heap, with random Stops and re-arms — and requires the engine's execution
+// trace to equal the reference's with the stopped events filtered out.
+func TestEngineEquivalentToBoxedHeap(t *testing.T) {
+	const seeds = 40
+	stopped := 0
+	for s := int64(0); s < seeds; s++ {
+		refEng := &refEngine{}
+		ref := equivalenceTrace(t, refScheduler{refEng}, s)
+		var timers []*Timer
+		got := equivalenceTrace(t, engScheduler{e: NewEngine(), timers: &timers}, s)
 		if len(ref) != len(got) {
 			t.Fatalf("seed %d: %d events vs %d", s, len(ref), len(got))
 		}
@@ -313,6 +393,19 @@ func TestEngineEquivalentToBoxedHeap(t *testing.T) {
 				t.Fatalf("seed %d: divergence at event %d: %q vs %q", s, i, ref[i], got[i])
 			}
 		}
+		for _, tm := range timers {
+			if tm.Armed() {
+				t.Fatalf("seed %d: a timer is still armed after the engine drained", s)
+			}
+		}
+		for _, ev := range refEng.queued {
+			if ev != nil && ev.cancelled {
+				stopped++
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("the workload stopped no timer event")
 	}
 }
 
@@ -366,6 +459,74 @@ func TestEngineAfterAllocs(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Fatalf("Engine.After allocates %.2f/op, want <= 1 amortized", avg)
+	}
+}
+
+// TestTimerResetAllocs: re-arming a timer — queued or not — and stopping
+// it allocate nothing once the heap's capacity is warm; the firing rides in
+// the event value and the handle lives in the Timer itself.
+func TestTimerResetAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(Duration(i)*Millisecond, fn)
+	}
+	for e.Step() {
+	}
+	tm := e.NewTimer(fn)
+	avg := testing.AllocsPerRun(1000, func() {
+		tm.Reset(Millisecond)
+		tm.Reset(2 * Millisecond) // re-arm while queued
+		e.After(Millisecond, fn)
+		tm.Stop()
+		tm.Reset(Millisecond)
+		e.Step()
+		e.Step()
+	})
+	if avg != 0 {
+		t.Fatalf("Timer.Reset/Stop allocates %.2f/op, want 0", avg)
+	}
+	if e.Pending() != 0 || tm.Armed() {
+		t.Fatalf("pending = %d, armed = %v after draining", e.Pending(), tm.Armed())
+	}
+}
+
+// Stop takes the firing out of the engine: Pending drops at once, nothing
+// runs, and the clock never visits the cancelled time.
+func TestTimerStopRemovesEvent(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	tm := e.NewTimer(func() { fired++ })
+	tm.Reset(10 * Second)
+	e.After(Second, func() {})
+	if e.Pending() != 2 || !tm.Armed() {
+		t.Fatalf("pending = %d, armed = %v", e.Pending(), tm.Armed())
+	}
+	if !tm.Stop() || tm.Stop() {
+		t.Fatal("Stop must report the queued firing exactly once")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after Stop, want 1", e.Pending())
+	}
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 0 || e.Now() != Second {
+		t.Fatalf("fired = %d, clock = %v", fired, e.Now())
+	}
+	// Re-armed from inside its own callback, a timer fires again.
+	tm = e.NewTimer(nil)
+	tm.fn = func() {
+		if fired++; fired < 3 {
+			tm.Reset(Second)
+		}
+	}
+	tm.Reset(Second)
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 3 || e.Now() != 4*Second {
+		t.Fatalf("fired = %d, clock = %v", fired, e.Now())
 	}
 }
 

@@ -67,6 +67,20 @@ func NewStation(eng *Engine, name string, servers int) *Station {
 	return &Station{eng: eng, name: name, free: make(serverHeap, servers)}
 }
 
+// Reset returns an idle station to the state NewStation builds: every
+// server free from time zero and the accounting cleared. The name and the
+// server count stay. A job still running would be overlapped by the next
+// one, so Reset panics if a server is busy past the current time.
+func (s *Station) Reset() {
+	if s.NextFreeIn() > 0 {
+		panic(fmt.Sprintf("sim: station %q reset while busy", s.name))
+	}
+	for i := range s.free {
+		s.free[i] = 0
+	}
+	s.admitTail, s.busy, s.jobs, s.maxDelay = 0, 0, 0, 0
+}
+
 // Servers returns the number of servers in the pool.
 func (s *Station) Servers() int { return len(s.free) }
 

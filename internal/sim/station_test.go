@@ -269,3 +269,38 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// An idle station after Reset schedules exactly like a new one — FIFO
+// admission and free times restart, the accounting is cleared — and a
+// busy station refuses to reset.
+func TestStationResetMatchesNew(t *testing.T) {
+	e := NewEngine()
+	used := NewStation(e, "cpu", 2)
+	used.Submit(3*Second, nil)
+	used.Submit(5*Second, nil)
+	compared := false
+	defer func() {
+		if recover() == nil || !compared {
+			t.Fatalf("Reset accepted a busy station, or refused an idle one (compared = %v)", compared)
+		}
+	}()
+	e.At(6*Second, func() {
+		used.Reset()
+		fresh := NewStation(e, "cpu", 2)
+		for _, d := range []Duration{2 * Second, Second, 4 * Second} {
+			s1, e1 := used.Submit(d, nil)
+			s2, e2 := fresh.Submit(d, nil)
+			if s1 != s2 || e1 != e2 {
+				t.Fatalf("reset station schedules (%v, %v), new one (%v, %v)", s1, e1, s2, e2)
+			}
+		}
+		if used.BusyTime() != fresh.BusyTime() || used.Jobs() != fresh.Jobs() || used.MaxQueueDelay() != fresh.MaxQueueDelay() {
+			t.Fatal("Reset left accounting behind")
+		}
+		compared = true
+		used.Reset() // both servers busy now
+	})
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -67,6 +67,9 @@ type LIFL struct {
 	// failover replay and checkpoint-restore working while bounding live
 	// heap.
 	hist []*liflRound
+	// spare holds, per node, the instances of closed rounds that a later
+	// round's provisioning recycles instead of building new ones.
+	spare [][]*aggInst
 
 	// TotalConversions counts §5.3 role conversions across rounds.
 	TotalConversions uint64
@@ -87,8 +90,7 @@ type liflRound struct {
 	assignNode []int // job index → node index
 	topNode    int   // resolved top host (may change via reuse binding)
 	topBound   bool
-	aggDone    sim.Duration  // global model installed (ACT endpoint, pre-eval)
-	tag        *topology.TAG // Appendix-D description of this round
+	aggDone    sim.Duration // global model installed (ACT endpoint, pre-eval)
 
 	cpu0     sim.Duration
 	created0 uint64
@@ -112,6 +114,7 @@ func NewLIFL(eng *sim.Engine, cfg Config) *LIFL {
 		global:  newGlobal(cfg.Model),
 		algo:    fedavg.FedAvg{Workers: cfg.Workers},
 		Ckpt:    checkpoint.NewStore(eng, 1e9), // 1 GB/s uplink to storage
+		spare:   make([][]*aggInst, len(cl.Nodes)),
 	}
 	s.arrivals = s.Metrics.Meter("arrivals", sim.Minute)
 	for _, n := range cl.Nodes {
@@ -292,40 +295,21 @@ func (s *LIFL) plan(rs *liflRound) {
 		}
 	}
 	rs.slotTable = newSlotTable("r", rs.round, plans, rs.topNode)
-	rs.tag = s.buildTAG(rs)
-	if err := rs.tag.Validate(); err != nil {
-		panic(fmt.Sprintf("lifl: planner produced an invalid hierarchy: %v", err))
-	}
 }
 
-// buildTAG materializes the round's Topology Abstraction Graph (Appendix D):
-// one vertex per planned aggregator with the node name as the groupBy
-// placement-affinity label, and channels along the aggregation tree. The
-// routing manager derives sockmap/gateway routes from this description; here
-// it also serves as a structural check on the planner.
-func (s *LIFL) buildTAG(rs *liflRound) *topology.TAG {
-	g := topology.New()
-	must := func(err error) {
-		if err != nil {
-			panic(fmt.Sprintf("lifl: TAG: %v", err))
-		}
-	}
-	for _, sl := range rs.slots {
-		must(g.AddVertex(topology.Vertex{Name: sl.name, Role: topology.RoleAggregator,
-			Level: sl.role.String(), GroupBy: s.Cluster.Nodes[sl.node].Name}))
-	}
-	for _, sl := range rs.slots[:rs.top()] {
-		must(g.AddChannel(topology.Channel{From: sl.name, To: rs.slots[sl.dst].name, GroupBy: s.Cluster.Nodes[sl.node].Name}))
-	}
-	return g
-}
-
-// RoundTAG exposes the current round's TAG (nil outside a round).
+// RoundTAG builds the current round's Topology Abstraction Graph
+// (Appendix D) from its slot table (nil outside a round). Nothing on the
+// round's path reads it, so it is built only when asked; that every plan
+// yields a valid TAG is a property test over generated plans.
 func (s *LIFL) RoundTAG() *topology.TAG {
 	if s.rs == nil {
 		return nil
 	}
-	return s.rs.tag
+	g, err := s.rs.buildTAG(func(node int) string { return s.Cluster.Nodes[node].Name })
+	if err != nil {
+		panic(fmt.Sprintf("lifl: TAG: %v", err))
+	}
+	return g
 }
 
 // FailAggregator kills the instance behind the logical name mid-round and
@@ -438,10 +422,9 @@ func (s *LIFL) provision(rs *liflRound, i, node int) {
 		return
 	}
 	sl.started = true
-	n := s.Cluster.Nodes[node]
 	mgr := s.Mgrs[node]
-	la := &aggInst{node: node}
-	agg := aggcore.New(sl.name, sl.role, n, s.algo, s.cfg.Model.PhysLen(), s.cfg.Model.Params)
+	la := s.instance(sl.name, sl.role, node)
+	agg := la.agg
 	agg.Mode = s.mode()
 	agg.Tracer = s.cfg.Tracer
 	agg.TraceName = traceNameFor(sl.name, sl.role)
@@ -451,7 +434,6 @@ func (s *LIFL) provision(rs *liflRound, i, node int) {
 		agg.OnComplete = s.onGlobal
 		rs.topNode = node
 	}
-	la.agg = agg
 	// Deployment kind: with reuse, all LIFL aggregators share one
 	// homogenized runtime kind; without it, each level is its own
 	// deployment (warm pods cannot cross levels).
@@ -467,6 +449,40 @@ func (s *LIFL) provision(rs *liflRound, i, node int) {
 	la.sb = sb
 	agg.Sandbox = sb
 	sb.Pinned = true // owes this round an output (cleared on Send)
+}
+
+// instance returns an aggregator instance on node for slot name: a parked
+// one recycled, or else a new one.
+func (s *LIFL) instance(name string, role aggcore.Role, node int) *aggInst {
+	if k := len(s.spare[node]) - 1; k >= 0 {
+		la := s.spare[node][k]
+		s.spare[node][k] = nil
+		s.spare[node] = s.spare[node][:k]
+		la.parked = false
+		la.agg.Recycle(name, role)
+		return la
+	}
+	la := &aggInst{node: node}
+	la.agg = aggcore.New(name, role, s.Cluster.Nodes[node], s.algo, s.cfg.Model.PhysLen(), s.cfg.Model.Params)
+	la.deliver = func(msg ebpf.Message) { s.deliverFromShm(la, msg) }
+	return la
+}
+
+// park returns a closed round's live instances to their nodes' spare
+// pools. Once the round has closed every bound instance has sent, has no
+// step left on its process, and has had every output it sent folded — what
+// aggcore's Recycle requires. An instance bound to two slots (a role
+// conversion) is parked once; a failed one, whose sandbox was terminated,
+// is dropped.
+func (s *LIFL) park(rs *liflRound) {
+	for i := range rs.slots {
+		la := rs.slots[i].inst
+		if la == nil || la.parked || la.sb.State() == runtime.StateTerminated {
+			continue
+		}
+		la.parked = true
+		s.spare[la.node] = append(s.spare[la.node], la)
+	}
 }
 
 // traceNameFor compresses logical names for timeline rows.
@@ -488,9 +504,7 @@ func (s *LIFL) bindAgg(rs *liflRound, i int, la *aggInst) {
 	// window — deterministic for a fixed seed.
 	s.cfg.Obs.Counter("ctrl/registrations_created", obs.Det).Inc()
 	n := s.Cluster.Nodes[la.node]
-	n.SockMap.Register(sl.name, func(msg ebpf.Message) {
-		s.deliverFromShm(la, msg)
-	})
+	n.SockMap.Register(sl.name, la.deliver)
 	for g, gw := range s.GWs {
 		if g != la.node {
 			gw.SetRoute(sl.name, n.Name)
@@ -784,6 +798,7 @@ func (s *LIFL) finishRound(rs *liflRound) {
 	s.cfg.Obs.Gauge("load/act_seconds", obs.Det).Set(act.Seconds())
 	s.cfg.Obs.Gauge("load/active_aggs", obs.Det).Set(float64(s.ActiveAggregators()))
 	s.cfg.Obs.Gauge("load/arrival_rate_per_min", obs.Det).Set(s.arrivals.Rate())
+	s.park(rs)
 	if rs.done != nil {
 		rs.done(res)
 	}

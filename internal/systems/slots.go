@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/aggcore"
 	"repro/internal/autoscaler"
+	"repro/internal/ebpf"
 	"repro/internal/runtime"
+	"repro/internal/topology"
 )
 
 // aggInst couples a bound aggregator with its host.
@@ -21,6 +23,11 @@ type aggInst struct {
 	agg  *aggcore.Aggregator
 	node int
 	sb   *runtime.Sandbox
+
+	// deliver is the instance's sockmap callback, built once with it, and
+	// parked marks an instance waiting in a spare pool (LIFL).
+	deliver func(ebpf.Message)
+	parked  bool
 }
 
 // aggSlot is one planned logical aggregator of a round.
@@ -149,6 +156,28 @@ func (t *slotTable) bound() int {
 		}
 	}
 	return n
+}
+
+// buildTAG materializes the table as a Topology Abstraction Graph
+// (Appendix D): one vertex per planned aggregator, grouped by its host's
+// name (the groupBy placement-affinity label), and channels along the
+// aggregation tree. The routing manager derives sockmap and gateway routes
+// from this description.
+func (t *slotTable) buildTAG(hostName func(node int) string) (*topology.TAG, error) {
+	g := topology.New()
+	for _, sl := range t.slots {
+		v := topology.Vertex{Name: sl.name, Role: topology.RoleAggregator, Level: sl.role.String(), GroupBy: hostName(sl.node)}
+		if err := g.AddVertex(v); err != nil {
+			return nil, err
+		}
+	}
+	for _, sl := range t.slots[:t.top()] {
+		c := topology.Channel{From: sl.name, To: t.slots[sl.dst].name, GroupBy: hostName(sl.node)}
+		if err := g.AddChannel(c); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
 // retireFront pops, in round order, every round at the front of hist that

@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/autoscaler"
@@ -86,5 +87,67 @@ func TestForcePlanOverridesPlanner(t *testing.T) {
 	}
 	if len(s.RoundTAG().Producers("r0-top")) != 4 {
 		t.Fatal("leaves must feed the top directly")
+	}
+}
+
+// Every plan the planners can produce lays out a valid hierarchy: its TAG
+// is a single-rooted tree rooted at the top, with one vertex per slot, one
+// channel per non-top slot to the consumer the slot table names, and each
+// vertex grouped by its host. The plans are generated: per node, a §5.2
+// PlanNode plan at a random demand and fan-in, a forced plan of leaves
+// feeding the top directly (Fig. 7(c)), or no plan at all.
+func TestPlannedTAGValidProperty(t *testing.T) {
+	rng := sim.NewRNG(17)
+	cases := 500
+	if testing.Short() {
+		cases = 100
+	}
+	for c := 0; c < cases; c++ {
+		nodes := 1 + rng.Intn(6)
+		plans := make([]autoscaler.Plan, nodes)
+		for node := range plans {
+			name := fmt.Sprintf("node-%d", node)
+			switch rng.Intn(4) {
+			case 0: // idle node
+			case 1:
+				leaves := 1 + rng.Intn(5)
+				goals := make([]int, leaves)
+				for i := range goals {
+					goals[i] = 1 + rng.Intn(3)
+				}
+				plans[node] = autoscaler.Plan{Node: name, Leaves: leaves, LeafGoals: goals}
+			default:
+				plans[node] = autoscaler.PlanNode(name, 1+rng.Intn(40), 1+rng.Intn(6))
+			}
+		}
+		round, top := rng.Intn(1000), rng.Intn(nodes)
+		tbl := newSlotTable("r", round, plans, top)
+		host := func(node int) string { return fmt.Sprintf("node-%d", node) }
+		g, err := tbl.buildTAG(host)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("case %d: planner produced an invalid hierarchy: %v", c, err)
+		}
+		if root, err := g.Root(); err != nil || root != fmt.Sprintf("r%d-top", round) {
+			t.Fatalf("case %d: root %q, %v", c, root, err)
+		}
+		if len(g.Vertices()) != len(tbl.slots) || len(g.Channels()) != len(tbl.slots)-1 {
+			t.Fatalf("case %d: %d vertices and %d channels for %d slots",
+				c, len(g.Vertices()), len(g.Channels()), len(tbl.slots))
+		}
+		for i, sl := range tbl.slots {
+			v, ok := g.Vertex(sl.name)
+			if !ok || v.GroupBy != host(sl.node) || v.Level != sl.role.String() {
+				t.Fatalf("case %d: slot %d (%s) vertex %+v", c, i, sl.name, v)
+			}
+			if i == tbl.top() {
+				continue
+			}
+			if got := g.Consumers(sl.name); len(got) != 1 || got[0] != tbl.dstName(i) {
+				t.Fatalf("case %d: %s feeds %v, want [%s]", c, sl.name, got, tbl.dstName(i))
+			}
+		}
 	}
 }
