@@ -27,11 +27,11 @@ type Node struct {
 	Ingress *sim.Queue
 	// Shm is the node's shared-memory object store.
 	Shm *shm.Store
-	// SockMap and Metrics are the node's in-kernel eBPF state.
+	// SockMap and SKMSG are the node's in-kernel eBPF state: the
+	// registered sockets and the SKMSG program over them (the eBPF sidecar
+	// core).
 	SockMap *ebpf.SockMap
-	Metrics *ebpf.Map[uint64, ebpf.MetricSample]
-	// SKMSG is the per-node SKMSG program (the eBPF sidecar core).
-	SKMSG *ebpf.SKMSGProgram
+	SKMSG   *ebpf.SKMSGProgram
 
 	// Memory accounting (resident bytes excluding shm, which tracks itself).
 	memUsed uint64
@@ -62,12 +62,11 @@ func NewNode(eng *sim.Engine, rng *sim.RNG, name string, p costmodel.Params) *No
 		Egress:         sim.NewQueue(eng, name+"/tx", p.NICBandwidth, p.NICLatency),
 		Ingress:        sim.NewQueue(eng, name+"/rx", p.NICBandwidth, p.NICLatency),
 		Shm:            shm.NewStore(eng, rng, name, p.MemPerNode),
-		SockMap:        ebpf.NewSockMap(name + "/sockmap"),
-		Metrics:        ebpf.NewMap[uint64, ebpf.MetricSample](name + "/metrics"),
+		SockMap:        ebpf.NewSockMap(),
 		cpuByComponent: make(map[string]sim.Duration),
 		reservations:   make(map[string]reservation),
 	}
-	n.SKMSG = ebpf.NewSKMSGProgram(eng, n.SockMap, n.Metrics)
+	n.SKMSG = ebpf.NewSKMSGProgram(n.SockMap)
 	return n
 }
 

@@ -57,20 +57,15 @@ func (h *Heartbeats) Deadline(c ClientID) (sim.Duration, bool) {
 // but neither forgotten (delivered their update) nor yet swept by Failed.
 func (h *Heartbeats) Pending() int { return len(h.last) }
 
-// ReusePicker implements §5.3: prefer converting a warm, idle aggregator
-// that has completed its task over cold-starting a new instance for a
-// higher level.
-type ReusePicker struct {
-	// Conversions counts successful reuses (for Fig. 8(c)-style reporting).
-	Conversions uint64
-}
-
-// PickIdle returns the first aggregator (in slice order) that has completed
-// its aggregation task and is idle, or nil. The paper picks "a leaf
-// aggregator that has already completed its aggregation task and is idle"
-// for middle duty, and "the first middle aggregator that completes its local
-// aggregation" for top duty — callers pass the candidate set accordingly.
-func (rp *ReusePicker) PickIdle(cands []*aggcore.Aggregator) *aggcore.Aggregator {
+// PickIdle implements §5.3's reuse choice: prefer converting a warm, idle
+// aggregator that has completed its task over cold-starting a new instance
+// for a higher level. It returns the first aggregator (in slice order) that
+// has completed its aggregation task and is idle, or nil. The paper picks
+// "a leaf aggregator that has already completed its aggregation task and
+// is idle" for middle duty, and "the first middle aggregator that
+// completes its local aggregation" for top duty — callers pass the
+// candidate set accordingly.
+func PickIdle(cands []*aggcore.Aggregator) *aggcore.Aggregator {
 	for _, a := range cands {
 		if a != nil && a.Idle() {
 			return a
@@ -78,6 +73,3 @@ func (rp *ReusePicker) PickIdle(cands []*aggcore.Aggregator) *aggcore.Aggregator
 	}
 	return nil
 }
-
-// MarkConversion records a successful role conversion.
-func (rp *ReusePicker) MarkConversion() { rp.Conversions++ }

@@ -49,19 +49,14 @@ func TestReusePickerPrefersIdleCompleted(t *testing.T) {
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	var rp ReusePicker
-	if got := rp.PickIdle([]*aggcore.Aggregator{busy, done}); got != done {
+	if got := PickIdle([]*aggcore.Aggregator{busy, done}); got != done {
 		t.Fatalf("picked %v", got)
 	}
-	if got := rp.PickIdle([]*aggcore.Aggregator{busy}); got != nil {
+	if got := PickIdle([]*aggcore.Aggregator{busy}); got != nil {
 		t.Fatal("picked a non-idle aggregator")
 	}
-	if got := rp.PickIdle(nil); got != nil {
+	if got := PickIdle(nil); got != nil {
 		t.Fatal("picked from empty set")
-	}
-	rp.MarkConversion()
-	if rp.Conversions != 1 {
-		t.Fatalf("conversions = %d", rp.Conversions)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package coordinator implements the cluster-wide control-plane pieces that
 // sit between the FL job designer and the serverless control plane (Fig. 3):
 // keep-alive failure detection for clients (§3) and the opportunistic
-// aggregator-reuse policy of §5.3. Client selection itself lives in
+// aggregator-reuse choice of §5.3 (PickIdle, a stateless function; the
+// LIFL control plane counts conversions in the ctrl/conversions
+// telemetry counter). Client selection itself lives in
 // internal/core's selectors, which beat this package's heartbeats and
 // over-provision to cover the clients it declares dead.
 //

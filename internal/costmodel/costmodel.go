@@ -44,8 +44,6 @@ type Params struct {
 	// ShmKeyPassLatency: SKMSG delivery of a 16-byte object key between
 	// co-located aggregators (zero-copy hand-off, Appendix A).
 	ShmKeyPassLatency sim.Duration
-	// ShmKeyPassCycles: CPU for the SKMSG redirect (eBPF program run).
-	ShmKeyPassCycles float64
 
 	// KernelStackParallelism: how many kernel TCP/IP traversals a node can
 	// service concurrently (softirq/ksoftirqd effective parallelism). This
@@ -91,8 +89,9 @@ type Params struct {
 	// BrokerBaseLatency: fixed per-message broker overhead.
 	BrokerBaseLatency sim.Duration
 
-	// EBPFMetricsCycles: one eBPF sidecar invocation (metrics collection on
-	// a send() event, §4.3). Event-driven: charged only per message.
+	// EBPFMetricsCycles: one eBPF sidecar invocation (metrics collection and
+	// SKMSG redirect on a send() event, §4.3). Event-driven: charged only
+	// per message, by sidecar.KeyPass.
 	EBPFMetricsCycles float64
 
 	// ---- Aggregation & evaluation compute ----
@@ -143,16 +142,9 @@ type Params struct {
 
 	// ---- Control plane ----
 
-	// EWMAAlpha: smoothing coefficient for queue-length estimates (§5.2,
-	// α = 0.7 "yielding the best results").
-	EWMAAlpha float64
 	// LeafFanIn: I, model updates of clients per leaf aggregator (§5.2,
 	// kept small — 2 — to maximize parallelism).
 	LeafFanIn int
-	// ReplanPeriod: hierarchy re-planning cycle (§6.1: 2-minute cycle).
-	ReplanPeriod sim.Duration
-	// MetricsScrapePeriod: LIFL agent → metrics server feed period.
-	MetricsScrapePeriod sim.Duration
 	// HeartbeatPeriod / HeartbeatTimeout: client keep-alive failure
 	// detection (§3).
 	HeartbeatPeriod  sim.Duration
@@ -185,7 +177,6 @@ func Default() Params {
 		ShmWriteNsPerByte:   3.12,
 		ShmCPUCyclesPerByte: 10.1,
 		ShmKeyPassLatency:   60 * sim.Microsecond,
-		ShmKeyPassCycles:    25_000,
 
 		KernelStackParallelism: 8,
 
@@ -221,10 +212,7 @@ func Default() Params {
 		InterCellRTT:       60 * sim.Millisecond, // cross-region backbone
 		InterCellBandwidth: 2.5e8,                // 2 Gb/s dedicated inter-cell link
 
-		EWMAAlpha:              0.7,
 		LeafFanIn:              2,
-		ReplanPeriod:           2 * sim.Minute,
-		MetricsScrapePeriod:    2 * sim.Second,
 		HeartbeatPeriod:        5 * sim.Second,
 		HeartbeatTimeout:       15 * sim.Second,
 		CheckpointPeriodRounds: 10,

@@ -113,14 +113,8 @@ func TestDefaultsSane(t *testing.T) {
 	if p.MemPerNode != 192<<30 {
 		t.Errorf("memory = %d, testbed has 192GB", p.MemPerNode)
 	}
-	if p.EWMAAlpha != 0.7 {
-		t.Errorf("EWMA alpha = %v, paper uses 0.7", p.EWMAAlpha)
-	}
 	if p.LeafFanIn != 2 {
 		t.Errorf("leaf fan-in = %d, paper uses I=2", p.LeafFanIn)
-	}
-	if p.ReplanPeriod != 2*sim.Minute {
-		t.Errorf("replan period = %v, paper uses 2 minutes", p.ReplanPeriod)
 	}
 	if p.QueueStagesSFMono != 1 || p.QueueStagesLIFL != 1 ||
 		p.QueueStagesSFMicro != 2 || p.QueueStagesSLB != 3 {

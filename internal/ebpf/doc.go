@@ -1,17 +1,15 @@
 // Package ebpf simulates the kernel eBPF machinery LIFL relies on (§4.3,
-// §4.4, Appendix A): generic BPF maps, the special BPF_MAP_TYPE_SOCKMAP
-// holding references to registered sockets, and SKMSG programs attached to
-// socket send() hooks. The functional semantics mirror the kernel exactly —
-// key-based socket redirection, in-kernel key/value metrics, strictly
-// event-driven execution (a program runs only when a send() event fires, so
-// idle cost is zero) — while the kernel boundary itself is simulated.
+// §4.4, Appendix A): the special BPF_MAP_TYPE_SOCKMAP holding the
+// registered sockets, and the SKMSG program attached to socket send()
+// hooks. The functional semantics mirror the kernel — key-based socket
+// redirection, strictly event-driven execution (a program runs only when a
+// send() event fires, so idle cost is zero) — while the kernel boundary
+// itself is simulated. The sidecar's in-kernel metric collection is
+// modelled only by its per-event CPU cost, which internal/sidecar charges;
+// nothing here stores a sample.
 //
-// Metric samples are stamped with the training round (or async version)
-// of the message that produced them, and SKMSGProgram.RetireRound deletes
-// a closed round's samples from the in-kernel map — the map-entry half of
-// the round-closure lifecycle (docs/MEMORY.md) that keeps long runs'
-// kernel state bounded. Sockmap entries are per logical aggregator name;
-// the systems layer removes them when the name's round retires.
+// Sockmap entries are per logical aggregator name; the systems layer
+// removes them when the name's round retires (docs/MEMORY.md).
 //
 // Layer (DESIGN.md): component model under internal/systems — the
 // SockMap/SkMsg kernel-bypass substrate (§4.3).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/ebpf"
 	"repro/internal/shm"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -26,7 +25,6 @@ type Update struct {
 	NTensors int     // layer count, for per-tensor serialization costs
 	Round    int
 	Producer string
-	DstID    string // destination aggregator ("" = node-level queue)
 }
 
 // Gateway is one node's gateway instance.
@@ -40,10 +38,6 @@ type Gateway struct {
 	routes map[string]string
 	// peers resolves node names to gateways for cross-node sends.
 	peers map[string]*Gateway
-
-	// OnUpdate receives the shm key of every update committed locally with
-	// no specific destination; the orchestrator wires this to dispatching.
-	OnUpdate func(shm.Key)
 
 	// Stats.
 	Received   uint64
@@ -145,20 +139,16 @@ func (g *Gateway) commit(u Update, committed func(shm.Key)) {
 			panic(fmt.Sprintf("gateway %s: %v", g.Node.Name, err))
 		}
 		g.Received++
-		if committed != nil {
-			committed(key)
-		} else if g.OnUpdate != nil {
-			g.OnUpdate(key)
-		}
+		committed(key)
 	})
 }
 
 // SendRemote transfers the object behind key to dstID on another node
 // (Appendix A inter-node routing): read from local shm, serialize + kernel
 // TX on this gateway, wire, then the remote gateway re-commits the payload
-// into its own shm and notifies the destination aggregator through its
-// SKMSG/sockmap channel. The local reference is released after the read.
-// delivered fires with the *remote* shm key.
+// into its own shm. The local reference is released after the read.
+// delivered fires with the *remote* shm key; the caller hands it to the
+// destination aggregator over the remote node's SKMSG channel (Fig. 12).
 func (g *Gateway) SendRemote(srcID string, key shm.Key, dstID string, delivered func(shm.Key)) error {
 	nodeName, ok := g.routes[dstID]
 	if !ok {
@@ -180,7 +170,6 @@ func (g *Gateway) SendRemote(srcID string, key shm.Key, dstID string, delivered 
 		NTensors: 1,
 		Round:    obj.Round,
 		Producer: srcID,
-		DstID:    dstID,
 	}
 	serLat, serCPU := p.Serialize(obj.Size, u.NTensors)
 	txLat, txCPU := p.KernelTraversal(obj.Size)
@@ -205,24 +194,14 @@ func (g *Gateway) SendRemote(srcID string, key shm.Key, dstID string, delivered 
 }
 
 // receiveRelay is the remote half of SendRemote: kernel RX + re-commit to
-// local shm + SKMSG notification of the destination aggregator.
+// local shm.
 func (g *Gateway) receiveRelay(u Update, delivered func(shm.Key)) {
 	p := g.Node.P
 	rxLat, rxCPU := p.KernelTraversal(u.Size)
 	g.Node.KernelExec("gateway", rxLat, rxCPU, func(_, _ sim.Duration) {
 		g.commit(u, func(key shm.Key) {
 			g.RelayedIn++
-			if delivered != nil {
-				delivered(key)
-				return
-			}
-			// Default: notify via the node's sockmap, as in Fig. 12.
-			if sock, ok := g.Node.SockMap.Lookup(u.DstID); ok {
-				sock.Deliver(ebpf.Message{
-					SrcID: u.Producer, DstID: u.DstID,
-					ShmKey: key, Size: 16, Round: u.Round, Kind: "update",
-				})
-			}
+			delivered(key)
 		})
 	})
 }

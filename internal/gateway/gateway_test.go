@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/ebpf"
 	"repro/internal/model"
 	"repro/internal/shm"
 	"repro/internal/sim"
@@ -57,19 +56,6 @@ func TestReceiveExternalCommitsToShm(t *testing.T) {
 	// The gateway pipeline must have consumed CPU attributed to "gateway".
 	if c.Nodes[0].CPUTime("gateway") == 0 {
 		t.Fatal("no gateway CPU attribution")
-	}
-}
-
-func TestOnUpdateDispatch(t *testing.T) {
-	eng, _, gws := rig(1)
-	var got shm.Key
-	gws[0].OnUpdate = func(k shm.Key) { got = k }
-	gws[0].ReceiveExternal(upd(model.ResNet18, 1), nil)
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if got == (shm.Key{}) {
-		t.Fatal("OnUpdate not invoked for node-level queue commit")
 	}
 }
 
@@ -124,28 +110,6 @@ func TestSendRemoteNoRoute(t *testing.T) {
 	}
 	if err := gws[0].SendRemote("x", key, "ghost", nil); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSendRemoteDefaultSockmapDelivery(t *testing.T) {
-	eng, c, gws := rig(2)
-	var key shm.Key
-	gws[0].ReceiveExternal(upd(model.ResNet18, 1), func(k shm.Key) { key = k })
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	// Register the destination aggregator in node-1's sockmap (Fig. 12).
-	var delivered ebpf.Message
-	c.Nodes[1].SockMap.Register("agg-top", func(m ebpf.Message) { delivered = m })
-	gws[0].SetRoute("agg-top", "node-1")
-	if err := gws[0].SendRemote("leaf-0", key, "agg-top", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered.ShmKey == (shm.Key{}) || delivered.DstID != "agg-top" || delivered.SrcID != "leaf-0" {
-		t.Fatalf("sockmap delivery: %+v", delivered)
 	}
 }
 

@@ -2,34 +2,12 @@ package metrics
 
 import "repro/internal/sim"
 
-// Server holds the named arrival-rate meters.
-type Server struct {
-	eng    *sim.Engine
-	meters map[string]*Meter
-}
-
-// NewServer creates an empty metrics server.
-func NewServer(eng *sim.Engine) *Server {
-	return &Server{eng: eng, meters: make(map[string]*Meter)}
-}
-
-// Meter returns (creating) a sliding-window event-rate meter.
-func (s *Server) Meter(name string, window sim.Duration) *Meter {
-	m, ok := s.meters[name]
-	if !ok {
-		m = NewMeter(s.eng, window)
-		s.meters[name] = m
-	}
-	return m
-}
-
-// Meter measures event arrival rate over a sliding window — k_{i,t} in the
-// residual-capacity formula of §5.1.
+// Meter measures event arrival rate over a sliding window — the paper's
+// k_{i,t} (§5.1); here it feeds only the load/arrival_rate_per_min gauge.
 type Meter struct {
 	eng    *sim.Engine
 	window sim.Duration
 	events []sim.Duration
-	Total  uint64
 }
 
 // NewMeter builds a meter with the given window.
@@ -42,7 +20,6 @@ func NewMeter(eng *sim.Engine, window sim.Duration) *Meter {
 
 // Mark records one event now.
 func (m *Meter) Mark() {
-	m.Total++
 	m.events = append(m.events, m.eng.Now())
 	m.trim()
 }
@@ -62,10 +39,4 @@ func (m *Meter) trim() {
 func (m *Meter) Rate() float64 {
 	m.trim()
 	return float64(len(m.events)) / m.window.Seconds()
-}
-
-// Count returns events inside the window.
-func (m *Meter) Count() int {
-	m.trim()
-	return len(m.events)
 }

@@ -64,6 +64,9 @@ type Sandbox struct {
 	// aggregator waiting for its goal is idle but must not be reaped).
 	Pinned bool
 
+	// seq is the sandbox's creation order on its manager (the number in
+	// its ID); takeIdle breaks LastIdle ties by it.
+	seq           int
 	mem           uint64
 	upkeepSettled sim.Duration
 	mgr           *Manager
@@ -198,6 +201,7 @@ func (m *Manager) Start(prefix string, ready func(*Sandbox)) *Sandbox {
 		mem:           m.Node.P.AggregatorMemBytes,
 		upkeepSettled: m.Node.Eng.Now(),
 		mgr:           m,
+		seq:           m.nextID,
 	}
 	sb.expiry = m.Node.Eng.NewTimer(sb.expire)
 	m.sandboxes[sb.ID] = sb
@@ -224,14 +228,16 @@ func costColdCPU(n *cluster.Node) sim.Duration {
 }
 
 // takeIdle pops a warm idle sandbox of the given kind, preferring the most
-// recently idle (better cache behaviour, standard warm-pool policy).
+// recently idle (better cache behaviour, standard warm-pool policy) and,
+// among sandboxes idle since the same instant, the earliest created — so
+// the pick never depends on map iteration order.
 func (m *Manager) takeIdle(kind string) *Sandbox {
 	var best *Sandbox
 	for _, sb := range m.sandboxes {
 		if sb.state != StateIdle || sb.Kind != kind || sb.Pinned {
 			continue
 		}
-		if best == nil || sb.LastIdle > best.LastIdle {
+		if best == nil || sb.LastIdle > best.LastIdle || (sb.LastIdle == best.LastIdle && sb.seq < best.seq) {
 			best = sb
 		}
 	}
@@ -274,13 +280,16 @@ func (m *Manager) SettleUpkeep() {
 }
 
 // ReapIdle terminates idle sandboxes whose keep-alive expired. Call it
-// periodically (the agent does, on its metrics scrape cycle).
+// periodically (the agent does, at every round boundary).
 func (m *Manager) ReapIdle() int {
 	if m.DisableKeepAlive {
 		return 0
 	}
 	now := m.Node.Eng.Now()
 	reaped := 0
+	// Map order is safe here: everything OnReclaim and Terminate do
+	// commutes — integer CPU and memory sums, map deletes, and stops of
+	// timer events the engine orders by (time, seq) in any stop order.
 	for _, sb := range m.sandboxes {
 		if sb.state == StateIdle && !sb.Pinned && now-sb.LastIdle >= m.Node.P.KeepAliveIdle {
 			if sb.OnReclaim != nil {

@@ -487,3 +487,28 @@ func TestSetIdleAllocs(t *testing.T) {
 		t.Fatalf("pending = %d, want the one armed check", eng.Pending())
 	}
 }
+
+// Two sandboxes of one kind idle since the same instant: the warm pick must
+// not follow map iteration order. Fresh managers hash their maps afresh, so
+// 64 of them would catch a random pick; every one must hand back the
+// earliest-created sandbox.
+func TestWarmPickTieIsDeterministic(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		eng, _, m := rig()
+		var ready []*Sandbox
+		m.Start("leaf", func(sb *Sandbox) { ready = append(ready, sb) })
+		m.Start("leaf", func(sb *Sandbox) { ready = append(ready, sb) })
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		for _, sb := range ready {
+			_ = sb.SetIdle()
+		}
+		if ready[0].LastIdle != ready[1].LastIdle {
+			t.Fatal("sandboxes did not go idle at the same instant")
+		}
+		if got := m.Start("leaf", nil); got.ID != "leaf-node-0-1" {
+			t.Fatalf("manager %d: warm start picked %s, want leaf-node-0-1", i, got.ID)
+		}
+	}
+}

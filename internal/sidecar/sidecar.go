@@ -1,8 +1,6 @@
 package sidecar
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/ebpf"
@@ -68,26 +66,18 @@ func (sc *Container) Stop() {
 // before reading cost counters.
 func (sc *Container) Finalize() { sc.settleIdle() }
 
-// EBPF is LIFL's event-driven sidecar: a thin wrapper over the node's SKMSG
-// program. It collects metrics and redirects messages; the only CPU it ever
-// consumes is per-event (EBPFMetricsCycles), charged here.
-type EBPF struct {
-	Node *cluster.Node
-}
-
-// NewEBPF attaches the eBPF sidecar abstraction to a node.
-func NewEBPF(n *cluster.Node) *EBPF { return &EBPF{Node: n} }
-
-// OnSend runs the SKMSG program for one send() event: records a metric
-// sample and resolves the destination socket. The caller schedules delivery.
-func (e *EBPF) OnSend(msg ebpf.Message, execTime sim.Duration) (*ebpf.Socket, error) {
-	e.Node.ExecFree("ebpf-sidecar", costmodel.Cycles(e.Node.P.EBPFMetricsCycles))
-	_, sock, err := e.Node.SKMSG.Run(msg, execTime)
-	if err != nil {
-		return nil, fmt.Errorf("sidecar on %s: sending to %q: %w", e.Node.Name, msg.DstID, err)
+// KeyPass is one send() event through LIFL's event-driven eBPF sidecar on
+// node n: it charges the per-event program cost (EBPFMetricsCycles, the
+// sidecar's only CPU — it costs nothing while idle), runs the node's SKMSG
+// program, and schedules msg's delivery ShmKeyPassLatency later. It returns
+// false when msg.DstID has no socket yet: the update stays in shared memory
+// and the caller parks it until the destination binds (in-place queuing).
+func KeyPass(n *cluster.Node, msg ebpf.Message) bool {
+	n.ExecFree("ebpf-sidecar", costmodel.Cycles(n.P.EBPFMetricsCycles))
+	deliver, ok := n.SKMSG.Run(msg)
+	if !ok {
+		return false
 	}
-	return sock, nil
+	n.Eng.After(n.P.ShmKeyPassLatency, func() { deliver(msg) })
+	return true
 }
-
-// Drain returns buffered metric samples (the LIFL agent's periodic scrape).
-func (e *EBPF) Drain() []ebpf.MetricSample { return e.Node.SKMSG.DrainMetrics() }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/ebpf"
+	"repro/internal/shm"
 	"repro/internal/sim"
 )
 
@@ -74,41 +75,55 @@ func TestContainerMemoryLifecycle(t *testing.T) {
 
 func TestEBPFSidecarZeroIdleCost(t *testing.T) {
 	eng, n := rig()
-	e := NewEBPF(n)
+	n.SockMap.Register("top", func(ebpf.Message) {})
 	eng.After(sim.Hour, func() {})
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if n.TotalCPUTime() != 0 {
-		t.Fatalf("eBPF sidecar consumed %v while idle", n.TotalCPUTime())
+	if n.TotalCPUTime() != 0 || n.SKMSG.Runs != 0 {
+		t.Fatalf("eBPF sidecar consumed %v in %d runs while idle", n.TotalCPUTime(), n.SKMSG.Runs)
 	}
-	_ = e
 }
 
 func TestEBPFSidecarPerEventCost(t *testing.T) {
 	eng, n := rig()
-	e := NewEBPF(n)
-	n.SockMap.Register("top", func(ebpf.Message) {})
-	sock, err := e.OnSend(ebpf.Message{SrcID: "leaf", DstID: "top", Size: 16}, sim.Second)
-	if err != nil || sock == nil {
-		t.Fatalf("OnSend: %v %v", sock, err)
+	var got ebpf.Message
+	var at sim.Duration
+	n.SockMap.Register("top", func(m ebpf.Message) { got, at = m, eng.Now() })
+	msg := ebpf.Message{SrcID: "leaf", DstID: "top", ShmKey: shm.Key{7}}
+	if !KeyPass(n, msg) {
+		t.Fatal("key pass to a registered socket was not redirected")
 	}
 	want := costmodel.Cycles(n.P.EBPFMetricsCycles)
 	if got := n.CPUTime("ebpf-sidecar"); got != want {
 		t.Fatalf("per-event cost = %v, want %v", got, want)
 	}
-	// Metrics are collected and drainable.
-	if got := e.Drain(); len(got) != 1 || got[0].ExecTime != sim.Second {
-		t.Fatalf("drain = %v", got)
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
 	}
-	_ = eng
+	if got != msg || at != n.P.ShmKeyPassLatency {
+		t.Fatalf("delivered %+v at %v, want %+v at %v", got, at, msg, n.P.ShmKeyPassLatency)
+	}
+	if n.SKMSG.Runs != 1 || n.SKMSG.Redirects != 1 {
+		t.Fatalf("SKMSG runs/redirects = %d/%d", n.SKMSG.Runs, n.SKMSG.Redirects)
+	}
 }
 
 func TestEBPFSidecarUnknownDst(t *testing.T) {
-	_, n := rig()
-	e := NewEBPF(n)
-	if _, err := e.OnSend(ebpf.Message{DstID: "ghost"}, 0); err == nil {
-		t.Fatal("expected error for unknown destination")
+	eng, n := rig()
+	if KeyPass(n, ebpf.Message{DstID: "ghost"}) {
+		t.Fatal("key pass to an unregistered destination reported delivery")
+	}
+	if n.SKMSG.Drops != 1 {
+		t.Fatalf("drops = %d", n.SKMSG.Drops)
+	}
+	// The event still ran the program, so it still costs one invocation;
+	// nothing is scheduled for the caller to wait on.
+	if got := n.CPUTime("ebpf-sidecar"); got != costmodel.Cycles(n.P.EBPFMetricsCycles) {
+		t.Fatalf("per-event cost = %v", got)
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("%d events scheduled for a dropped message", eng.Pending())
 	}
 }
 
@@ -122,8 +137,10 @@ func TestContainerVsEBPFPerMessageCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	container := n.CPUTime("sidecar")
-	ebpfCost := costmodel.Cycles(n.P.EBPFMetricsCycles)
-	if container < 1000*ebpfCost {
+	n.SockMap.Register("top", func(ebpf.Message) {})
+	KeyPass(n, ebpf.Message{SrcID: "a", DstID: "top"})
+	ebpfCost := n.CPUTime("ebpf-sidecar")
+	if ebpfCost != costmodel.Cycles(n.P.EBPFMetricsCycles) || container < 1000*ebpfCost {
 		t.Fatalf("container %v vs eBPF %v: expected ≫1000x gap", container, ebpfCost)
 	}
 }

@@ -24,13 +24,13 @@ import (
 	"repro/internal/aggcore"
 	"repro/internal/asyncfl"
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
 	"repro/internal/ebpf"
 	"repro/internal/fedavg"
 	"repro/internal/gateway"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/shm"
+	"repro/internal/sidecar"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -137,7 +137,9 @@ type AsyncService interface {
 	// RetireRound evicts control-plane records belonging to folded
 	// versions <= last — the async counterpart of Service.RetireRound,
 	// called by core's version loop with version − RetainRounds after
-	// each fold. Same contract: bookkeeping only, never schedule.
+	// each fold. Same contract: bookkeeping only, never schedule. The
+	// buffered-async system keeps no per-version records, so its
+	// implementation is a no-op.
 	RetireRound(last int)
 	// Finalize settles deferred costs before reading final counters.
 	Finalize()
@@ -240,7 +242,7 @@ func (s *Async) startBuffer() {
 // that queued in shared memory during the cold start.
 func (s *Async) bind() {
 	n := s.Cluster.Nodes[s.cfg.TopNode]
-	n.SockMap.Register(asyncBufferID, func(msg ebpf.Message) { s.deliver(msg) })
+	n.SockMap.Register(asyncBufferID, s.deliver)
 	for _, u := range s.pending {
 		s.buffer.Receive(u)
 	}
@@ -269,38 +271,17 @@ func (s *Async) CPUTime() sim.Duration {
 	return s.Cluster.TotalCPUTime()
 }
 
-// RetireRound implements AsyncService: folded versions <= last are
-// closed, so the eBPF metric samples stamped with their version numbers
-// are deleted from every node's metrics map. The buffer's single sockmap
-// entry and its gateway routes are version-independent (installed once at
-// startup), so the metrics maps are the async plane's only per-version
-// records.
-func (s *Async) RetireRound(last int) {
-	samples := 0
-	for _, n := range s.Cluster.Nodes {
-		samples += n.SKMSG.RetireRound(last)
-	}
-	s.cfg.Obs.Counter("ctrl/ebpf_samples_evicted", obs.Volatile).Add(uint64(samples))
-}
+// RetireRound implements AsyncService as a no-op, like SF's: the async
+// plane keeps no per-version records. The buffer's single sockmap entry
+// and its gateway routes are installed once at startup, and every folded
+// update has already released its shm reference.
+func (s *Async) RetireRound(int) {}
 
 // Finalize implements AsyncService: settles upkeep and, like LIFL,
 // publishes the eBPF sidecar load signals.
 func (s *Async) Finalize() {
 	s.Mgr.SettleUpkeep()
-	if s.cfg.Obs == nil {
-		return
-	}
-	var runs, redirects, drops, entries uint64
-	for _, n := range s.Cluster.Nodes {
-		runs += n.SKMSG.Runs
-		redirects += n.SKMSG.Redirects
-		drops += n.SKMSG.Drops
-		entries += uint64(n.SockMap.Len())
-	}
-	s.cfg.Obs.Gauge("ebpf/skmsg_runs", obs.Det).Set(float64(runs))
-	s.cfg.Obs.Gauge("ebpf/redirects", obs.Det).Set(float64(redirects))
-	s.cfg.Obs.Gauge("ebpf/drops", obs.Det).Set(float64(drops))
-	s.cfg.Obs.Gauge("ebpf/sockmap_entries", obs.Volatile).Set(float64(entries))
+	publishEBPF(s.cfg.Obs, s.Cluster.Nodes)
 }
 
 // Pending returns updates parked or queued but not yet folded.
@@ -367,7 +348,6 @@ func (s *Async) upload(job AsyncJob, ticket int) {
 		NTensors: len(s.cfg.Model.Layers),
 		Round:    job.BaseVersion, // stamped into the shm object; read back by the fold-time reweigh
 		Producer: job.ID,
-		DstID:    asyncBufferID,
 	}
 	gw.ReceiveExternal(gu, func(key shm.Key) {
 		s.Received++
@@ -389,26 +369,22 @@ func (s *Async) upload(job AsyncJob, ticket int) {
 	})
 }
 
-// keyPass hands a buffer-node shm key to the buffer aggregator over the
-// SKMSG channel, charging the event-driven sidecar cost; before the
-// sandbox is ready the update parks in shm-backed pending.
+// keyPass hands a buffer-node shm key to the buffer aggregator through the
+// node's eBPF sidecar; before the sandbox is ready the update parks in
+// shm-backed pending.
 func (s *Async) keyPass(src string, key shm.Key) {
 	n := s.Cluster.Nodes[s.cfg.TopNode]
-	n.ExecFree("ebpf-sidecar", costmodel.Cycles(n.P.EBPFMetricsCycles))
-	msg := ebpf.Message{SrcID: src, DstID: asyncBufferID, ShmKey: key, Size: 16, Round: s.version, Kind: "update"}
-	verdict, sock, err := n.SKMSG.Run(msg, 0)
-	if err != nil || verdict != ebpf.VerdictRedirect {
-		obj, gerr := n.Shm.Get(key)
-		if gerr != nil {
-			panic(fmt.Sprintf("async: keyPass pending %s: %v", key, gerr))
-		}
-		s.pending = append(s.pending, aggcore.Update{
-			Tensor: obj.Tensor, Weight: obj.Weight, Size: obj.Size,
-			Round: obj.Round, Producer: src, Key: key, Store: n.Shm,
-		})
+	if sidecar.KeyPass(n, ebpf.Message{SrcID: src, DstID: asyncBufferID, ShmKey: key}) {
 		return
 	}
-	s.Eng.After(n.P.ShmKeyPassLatency, func() { sock.Deliver(msg) })
+	obj, err := n.Shm.Get(key)
+	if err != nil {
+		panic(fmt.Sprintf("async: keyPass pending %s: %v", key, err))
+	}
+	s.pending = append(s.pending, aggcore.Update{
+		Tensor: obj.Tensor, Weight: obj.Weight, Size: obj.Size,
+		Round: obj.Round, Producer: src, Key: key, Store: n.Shm,
+	})
 }
 
 // deliver materializes a delivered shm key into a buffer Receive.

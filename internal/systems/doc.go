@@ -15,9 +15,11 @@
 // Rounds also close: Service.RetireRound(last) evicts every control-plane
 // record a system holds for rounds <= last — round-named sockmap entries
 // and gateway routes (LIFL/SL-H), broker topics and sidecar bindings (SL),
-// round-stamped eBPF metric samples, superseded checkpoints, and the
-// retained round state itself. SF's static hierarchy names nothing per
-// round, so its RetireRound is a no-op. LIFL/SL-H and SL lay each round's
+// superseded checkpoints, and the retained round state itself. SF's static
+// hierarchy names nothing per round, and the async system keeps nothing
+// per version, so their RetireRound is a no-op. LIFL, SL-H and the async
+// system pass every shm key through one sidecar.KeyPass; placement is
+// load-blind (DESIGN.md). LIFL/SL-H and SL lay each round's
 // aggregators out once, when the round is planned, in a shared slot table
 // (slots.go); everything after — binding, dispatch, failover, retirement —
 // indexes it. Retirement is bookkeeping, never

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/aggcore"
-	"repro/internal/ebpf"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
 
 // The round-closure retirement contract, per system: control-plane records
-// for closed rounds (sockmap entries, gateway routes, eBPF metric samples,
-// broker topics, sidecar bindings, round state) stay resident inside the
+// for closed rounds (sockmap entries, gateway routes, broker topics, sidecar
+// bindings, round state) stay resident inside the
 // retention window and are gone after RetireRound — and retirement is pure
 // bookkeeping: no events scheduled, no CPU charged, no model bits moved.
 
@@ -88,13 +87,6 @@ func TestLIFLRetireRoundEvictsRecords(t *testing.T) {
 					t.Fatalf("gateway routes did not shrink: %d -> %d", routes0, got)
 				}
 			}
-			for _, nd := range s.Cluster.Nodes {
-				nd.Metrics.ForEach(func(_ uint64, v ebpf.MetricSample) {
-					if v.Round <= 2 {
-						t.Fatalf("metric sample for retired round %d survived", v.Round)
-					}
-				})
-			}
 
 			// Retirement is bookkeeping: same global bits, no new events,
 			// no CPU charged.
@@ -118,11 +110,6 @@ func TestLIFLRetireRoundEvictsRecords(t *testing.T) {
 			}
 			if got := routeTotal(s); got != 0 {
 				t.Fatalf("%d gateway routes survived full retirement", got)
-			}
-			for _, nd := range s.Cluster.Nodes {
-				if nd.Metrics.Len() != 0 {
-					t.Fatalf("%d metric samples survived full retirement", nd.Metrics.Len())
-				}
 			}
 		})
 	}
@@ -191,40 +178,34 @@ func TestSFRetireRoundNoop(t *testing.T) {
 	}
 }
 
-// The async shape retires by folded version: samples stamped at or below
-// the retired version leave every node's metrics map, newer ones stay.
-func TestAsyncRetireRoundEvictsMetrics(t *testing.T) {
+// The async plane keeps no per-version records, which is what makes
+// Async.RetireRound a no-op: however many versions fold, the buffer's one
+// sockmap entry and its gateway routes stay as installed at startup, and
+// every folded update has released its shm object.
+func TestAsyncKeepsNoPerVersionRecords(t *testing.T) {
 	eng, s := newAsyncRig(t, 2, AsyncParams{BufferK: 1})
-	for i := 0; i < 6; i++ {
-		dispatchConst(s, i%2, float32(i+1), 1, sim.Duration(i+1)*sim.Second, nil)
-	}
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, n := range s.Cluster.Nodes {
-		total += n.Metrics.Len()
-	}
-	if total == 0 {
-		t.Fatal("no metric samples after 6 folds; nothing to retire")
-	}
-	s.RetireRound(3)
-	left := 0
-	for _, n := range s.Cluster.Nodes {
-		n.Metrics.ForEach(func(_ uint64, v ebpf.MetricSample) {
-			if v.Round <= 3 {
-				t.Fatalf("sample for retired version %d survived", v.Round)
+	for _, versions := range []int{6, 12} {
+		for i := 0; i < 6; i++ {
+			dispatchConst(s, i%2, float32(i+1), 1, sim.Duration(i+1)*sim.Second, nil)
+		}
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Version() != versions {
+			t.Fatalf("version %d, want %d", s.Version(), versions)
+		}
+		socks, routes := 0, 0
+		for _, n := range s.Cluster.Nodes {
+			socks += n.SockMap.Len()
+			if n.Shm.Len() != 0 {
+				t.Fatalf("after %d versions: %d shm objects left on %s", versions, n.Shm.Len(), n.Name)
 			}
-		})
-		left += n.Metrics.Len()
-	}
-	if left == 0 || left >= total {
-		t.Fatalf("version retirement off: %d -> %d samples", total, left)
-	}
-	s.RetireRound(s.Version())
-	for _, n := range s.Cluster.Nodes {
-		if n.Metrics.Len() != 0 {
-			t.Fatalf("%d samples survived full retirement", n.Metrics.Len())
+		}
+		for _, gw := range s.GWs {
+			routes += gw.Routes()
+		}
+		if socks != 1 || routes != 1 {
+			t.Fatalf("after %d versions: %d sockmap entries and %d routes, want the buffer's 1 and 1", versions, socks, routes)
 		}
 	}
 }

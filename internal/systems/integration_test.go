@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -78,7 +79,8 @@ func TestReuseReducesCreations(t *testing.T) {
 // Reuse conversions actually happen and are counted.
 func TestReuseConversionsCounted(t *testing.T) {
 	eng := sim.NewEngine()
-	s := NewLIFL(eng, Config{Nodes: 5, Model: model.ResNet152, MC: 20, Seed: 3, Flags: AllFlags()})
+	reg := obs.New(obs.Options{})
+	s := NewLIFL(eng, Config{Nodes: 5, Model: model.ResNet152, MC: 20, Seed: 3, Flags: AllFlags(), Obs: reg})
 	jobs := makeJobs(20)
 	for i := range jobs {
 		jobs[i].PreQueued = true
@@ -87,7 +89,7 @@ func TestReuseConversionsCounted(t *testing.T) {
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TotalConversions == 0 {
+	if reg.Counter("ctrl/conversions", obs.Det).Value() == 0 {
 		t.Fatal("no §5.3 role conversions recorded")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/coordinator"
-	"repro/internal/costmodel"
 	"repro/internal/ebpf"
 	"repro/internal/fedavg"
 	"repro/internal/gateway"
@@ -25,6 +24,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/runtime"
 	"repro/internal/shm"
+	"repro/internal/sidecar"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/topology"
@@ -39,7 +39,6 @@ type LIFL struct {
 	Cluster *cluster.Cluster
 	GWs     []*gateway.Gateway
 	Mgrs    []*runtime.Manager
-	Metrics *metrics.Server
 
 	// ForcePlan, when set, overrides the hierarchy planner per node —
 	// used by microbenchmarks that pin the paper's exact topology (e.g.
@@ -48,18 +47,14 @@ type LIFL struct {
 
 	global *tensor.Tensor
 	algo   fedavg.Algorithm
-	reuse  coordinator.ReusePicker
 
 	// Ckpt is the external persistent store for Appendix-B model
 	// checkpoints, written asynchronously every CheckpointPeriodRounds.
 	Ckpt *checkpoint.Store
 
 	// arrivals counts committed client updates cluster-wide (the
-	// load/arrival_rate_per_min gauge). nodeArrivals are the per-node
-	// meters placement reads as k_{i,t} (§5.1); nothing marks them yet, so
-	// every node's arrival rate reads 0.
-	arrivals     *metrics.Meter
-	nodeArrivals []*metrics.Meter
+	// load/arrival_rate_per_min gauge).
+	arrivals *metrics.Meter
 
 	rs *liflRound
 	// hist retains rounds in round order until RetireRound pops them off
@@ -70,9 +65,6 @@ type LIFL struct {
 	// spare holds, per node, the instances of closed rounds that a later
 	// round's provisioning recycles instead of building new ones.
 	spare [][]*aggInst
-
-	// TotalConversions counts §5.3 role conversions across rounds.
-	TotalConversions uint64
 }
 
 // liflRound is the in-flight round state.
@@ -106,21 +98,19 @@ func NewLIFL(eng *sim.Engine, cfg Config) *LIFL {
 	rng := sim.NewRNG(cfg.Seed)
 	cl := cluster.New(eng, rng, cfg.Params, cfg.Nodes)
 	s := &LIFL{
-		cfg:     cfg,
-		Eng:     eng,
-		RNG:     rng,
-		Cluster: cl,
-		Metrics: metrics.NewServer(eng),
-		global:  newGlobal(cfg.Model),
-		algo:    fedavg.FedAvg{Workers: cfg.Workers},
-		Ckpt:    checkpoint.NewStore(eng, 1e9), // 1 GB/s uplink to storage
-		spare:   make([][]*aggInst, len(cl.Nodes)),
+		cfg:      cfg,
+		Eng:      eng,
+		RNG:      rng,
+		Cluster:  cl,
+		global:   newGlobal(cfg.Model),
+		algo:     fedavg.FedAvg{Workers: cfg.Workers},
+		Ckpt:     checkpoint.NewStore(eng, 1e9), // 1 GB/s uplink to storage
+		arrivals: metrics.NewMeter(eng, sim.Minute),
+		spare:    make([][]*aggInst, len(cl.Nodes)),
 	}
-	s.arrivals = s.Metrics.Meter("arrivals", sim.Minute)
 	for _, n := range cl.Nodes {
 		s.GWs = append(s.GWs, gateway.New(n))
 		s.Mgrs = append(s.Mgrs, runtime.NewManager(n))
-		s.nodeArrivals = append(s.nodeArrivals, s.Metrics.Meter("arrivals@"+n.Name, sim.Minute))
 	}
 	gateway.Connect(s.GWs...)
 	return s
@@ -157,28 +147,34 @@ func (s *LIFL) ActiveAggregators() int {
 	return n
 }
 
-// Finalize implements Service. Besides settling deferred upkeep it
-// publishes the eBPF sidecar load signals: run/redirect/drop totals are
-// virtual-time deterministic, while live sockmap occupancy depends on
-// how aggressively the caller retired rounds (Volatile).
+// Finalize implements Service: settles deferred upkeep and publishes the
+// eBPF sidecar load signals.
 func (s *LIFL) Finalize() {
 	for _, m := range s.Mgrs {
 		m.SettleUpkeep()
 	}
-	if s.cfg.Obs == nil {
+	publishEBPF(s.cfg.Obs, s.Cluster.Nodes)
+}
+
+// publishEBPF sets the eBPF sidecar gauges from the nodes' SKMSG counters:
+// run/redirect/drop totals are virtual-time deterministic, while live
+// sockmap occupancy depends on how aggressively the caller retired rounds
+// (Volatile).
+func publishEBPF(reg *obs.Registry, nodes []*cluster.Node) {
+	if reg == nil {
 		return
 	}
 	var runs, redirects, drops, entries uint64
-	for _, n := range s.Cluster.Nodes {
+	for _, n := range nodes {
 		runs += n.SKMSG.Runs
 		redirects += n.SKMSG.Redirects
 		drops += n.SKMSG.Drops
 		entries += uint64(n.SockMap.Len())
 	}
-	s.cfg.Obs.Gauge("ebpf/skmsg_runs", obs.Det).Set(float64(runs))
-	s.cfg.Obs.Gauge("ebpf/redirects", obs.Det).Set(float64(redirects))
-	s.cfg.Obs.Gauge("ebpf/drops", obs.Det).Set(float64(drops))
-	s.cfg.Obs.Gauge("ebpf/sockmap_entries", obs.Volatile).Set(float64(entries))
+	reg.Gauge("ebpf/skmsg_runs", obs.Det).Set(float64(runs))
+	reg.Gauge("ebpf/redirects", obs.Det).Set(float64(redirects))
+	reg.Gauge("ebpf/drops", obs.Det).Set(float64(drops))
+	reg.Gauge("ebpf/sockmap_entries", obs.Volatile).Set(float64(entries))
 }
 
 // createdTotal sums cold creations across nodes.
@@ -236,14 +232,15 @@ func (s *LIFL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 }
 
 // place runs the round's load balancing (§5.1): BestFit under flag ①,
-// otherwise the least-connection-equivalent WorstFit of SL-H.
+// otherwise the least-connection-equivalent WorstFit of SL-H. Placement is
+// load-blind (DESIGN.md): every node's arrival rate k_{i,t} is 0 and its
+// per-update time E_{i,t} is the modelled AggregateOne.
 func (s *LIFL) place(rs *liflRound) {
 	states := make([]*placement.NodeState, 0, len(s.Cluster.Nodes))
-	for i, n := range s.Cluster.Nodes {
+	for _, n := range s.Cluster.Nodes {
 		states = append(states, &placement.NodeState{
 			Name:     n.Name,
 			MC:       s.cfg.MC,
-			Arrival:  s.nodeArrivals[i].Rate(),
 			ExecTime: s.cfg.Params.AggregateOne(s.cfg.Model.Bytes()),
 		})
 	}
@@ -358,25 +355,19 @@ func (s *LIFL) unregister(name string, node int) {
 // order; each one's slot table is walked once — every bound name loses its
 // sockmap entry and gateway routes, leftover pending shm references are
 // released — and the round state (slots, TAG, aggregator closures) is
-// unreferenced. The eBPF metrics maps drop the rounds' samples and the
-// checkpoint store retires superseded snapshots. Pure bookkeeping: no
-// sandbox terminations, no CPU charges, no events.
+// unreferenced. The checkpoint store retires superseded snapshots. Pure
+// bookkeeping: no sandbox terminations, no CPU charges, no events.
 func (s *LIFL) RetireRound(last int) {
 	var rounds int
 	s.hist, rounds = retireFront(s.hist, last, s.evictRound)
 	if rounds == 0 {
 		return
 	}
-	samples := 0
-	for _, n := range s.Cluster.Nodes {
-		samples += n.SKMSG.RetireRound(last)
-	}
 	s.Ckpt.Retire(last)
 	// Eviction telemetry is Volatile by construction: how much is retired
 	// (and when) is a function of the caller's retention window, which the
 	// deterministic snapshot must not depend on.
 	s.cfg.Obs.Counter("ctrl/rounds_evicted", obs.Volatile).Add(uint64(rounds))
-	s.cfg.Obs.Counter("ctrl/ebpf_samples_evicted", obs.Volatile).Add(uint64(samples))
 }
 
 // evictRound retires one closed round's registrations and references.
@@ -612,31 +603,25 @@ func (s *LIFL) dispatch(rs *liflRound, node int, key shm.Key) {
 	s.keyPass(rs, node, "gw", i, key)
 }
 
-// keyPass sends a 16-byte shm key over the node's SKMSG channel to slot
-// dst's logical name, charging the event-driven sidecar cost. Unbound
-// destinations queue in pending (the update already sits in shm — this is
-// in-place queuing).
+// keyPass sends a 16-byte shm key through the node's eBPF sidecar to slot
+// dst's logical name. Unbound destinations queue in pending (the update
+// already sits in shm — this is in-place queuing).
 func (s *LIFL) keyPass(rs *liflRound, node int, src string, dst int, key shm.Key) {
 	n := s.Cluster.Nodes[node]
-	n.ExecFree("ebpf-sidecar", costmodel.Cycles(n.P.EBPFMetricsCycles))
-	msg := ebpf.Message{SrcID: src, DstID: rs.slots[dst].name, ShmKey: key, Size: 16, Round: rs.round, Kind: "update"}
-	verdict, sock, err := n.SKMSG.Run(msg, 0)
-	if err != nil || verdict != ebpf.VerdictRedirect {
-		// No socket yet (reactive/reuse not bound): park in shm-backed pending.
-		store := n.Shm
-		obj, gerr := store.Get(key)
-		if gerr != nil {
-			panic(fmt.Sprintf("lifl: keyPass pending %s: %v", key, gerr))
-		}
-		sl := &rs.slots[dst]
-		sl.pending = append(sl.pending, aggcore.Update{
-			Tensor: obj.Tensor, Weight: obj.Weight, Size: obj.Size,
-			Round: obj.Round, Producer: src, Key: key, Store: store,
-		})
-		s.demand(rs, node, dst)
+	if sidecar.KeyPass(n, ebpf.Message{SrcID: src, DstID: rs.slots[dst].name, ShmKey: key}) {
 		return
 	}
-	s.Eng.After(n.P.ShmKeyPassLatency, func() { sock.Deliver(msg) })
+	// No socket yet (reactive/reuse not bound): park in shm-backed pending.
+	obj, err := n.Shm.Get(key)
+	if err != nil {
+		panic(fmt.Sprintf("lifl: keyPass pending %s: %v", key, err))
+	}
+	sl := &rs.slots[dst]
+	sl.pending = append(sl.pending, aggcore.Update{
+		Tensor: obj.Tensor, Weight: obj.Weight, Size: obj.Size,
+		Round: obj.Round, Producer: src, Key: key, Store: n.Shm,
+	})
+	s.demand(rs, node, dst)
 }
 
 // demand reacts to traffic for an unbound slot: under reactive scaling it
@@ -662,14 +647,12 @@ func (s *LIFL) convert(rs *liflRound, node, i int) bool {
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
-	pick := s.reuse.PickIdle(cands)
+	pick := coordinator.PickIdle(cands)
 	if pick == nil {
 		return false
 	}
 	sl := &rs.slots[i]
 	sl.started = true
-	s.reuse.MarkConversion()
-	s.TotalConversions++
 	s.cfg.Obs.Counter("ctrl/conversions", obs.Det).Inc()
 	// Locate the instance wrapper.
 	var la *aggInst

@@ -168,9 +168,8 @@ type Service interface {
 	CPUTime() sim.Duration
 	// RetireRound evicts every control-plane record belonging to rounds
 	// <= last: round-named registrations (sockmap entries and gateway
-	// routes, or broker topics), retained round state and TAG, buffered
-	// eBPF metric samples, and any shm references still parked on retired
-	// names. Eviction is bookkeeping, not schedule — it must never
+	// routes, or broker topics), retained round state and TAG, and any shm
+	// references still parked on retired names. Eviction is bookkeeping, not schedule — it must never
 	// terminate sandboxes, charge CPU, or touch the event queue, so
 	// fixed-seed Reports are byte-identical whether or not (and how
 	// aggressively) the caller retires. core's round loop calls it with
